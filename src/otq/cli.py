@@ -27,7 +27,8 @@ from .labels import protocol_from_spec
 from .metric import evaluate_corpus_files, report_to_csv, report_to_json, report_to_table
 from .pipeline import load_scene_script, run_pipeline
 from .stats import compat_eval, corpus_stats, stats_to_json
-from .tree import iter_corpus, parse_tree, project_flat, serialize_tree, write_corpus
+from .tree import (iter_corpus, iter_lines, parse_tree, project_flat, serialize_tree,
+                   write_corpus)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -166,19 +167,16 @@ def _cmd_project_flat(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     problems = []
     seen: set[str] = set()
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                tree = parse_tree(line)
-            except (SchemaError, ValidationError) as exc:
-                problems.append(f"line {lineno}: {exc}")
-                continue
-            if tree.canvas.image_id in seen:
-                problems.append(
-                    f"line {lineno}: duplicate image_id '{tree.canvas.image_id}'")
-            seen.add(tree.canvas.image_id)
+    for lineno, line in iter_lines(args.input):
+        try:
+            tree = parse_tree(line)
+        except (SchemaError, ValidationError) as exc:
+            problems.append(f"line {lineno}: {exc}")
+            continue
+        if tree.canvas.image_id in seen:
+            problems.append(
+                f"line {lineno}: duplicate image_id '{tree.canvas.image_id}'")
+        seen.add(tree.canvas.image_id)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -214,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"otq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"otq: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"otq: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

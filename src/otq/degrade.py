@@ -65,9 +65,11 @@ def _corrupt_count(keep_ratio: float, n_candidates: int) -> int:
     return max(0, math.ceil((1.0 - keep_ratio) * n_candidates - 1e-9))
 
 
-def _rebuild_without(tree: OpenTree, removed: set[int]) -> OpenTree:
+def _rebuild_without(tree: OpenTree, removed: set[int],
+                     masks: dict[int, Mask] | None = None) -> OpenTree:
     """Drop `removed` nodes, splicing survivors to their nearest surviving
-    ancestor (possibly the root)."""
+    ancestor (possibly the root); `masks`, if given, replaces every
+    survivor's mask."""
     nodes = []
     for node in tree.nodes.values():
         if node.node_id in removed:
@@ -75,7 +77,8 @@ def _rebuild_without(tree: OpenTree, removed: set[int]) -> OpenTree:
         parent = node.parent_id
         while parent != ROOT_ID and parent in removed:
             parent = tree.nodes[parent].parent_id
-        nodes.append(InstanceNode(node.node_id, node.label, node.mask, parent))
+        mask = node.mask if masks is None else masks[node.node_id]
+        nodes.append(InstanceNode(node.node_id, node.label, mask, parent))
     return OpenTree(tree.canvas, nodes)
 
 
@@ -91,16 +94,7 @@ def _degrade_masks(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
             removed.add(nid)
         else:
             new_mask[nid] = mask
-    nodes = []
-    for node in tree.nodes.values():
-        if node.node_id in removed:
-            continue
-        parent = node.parent_id
-        while parent != ROOT_ID and parent in removed:
-            parent = tree.nodes[parent].parent_id
-        nodes.append(InstanceNode(node.node_id, node.label,
-                                  new_mask[node.node_id], parent))
-    return OpenTree(tree.canvas, nodes)
+    return _rebuild_without(tree, removed, new_mask)
 
 
 def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
@@ -111,6 +105,7 @@ def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
 
     parent_of = {nid: tree.nodes[nid].parent_id for nid in all_ids}
 
+    # Reads the rewired parent_of: the original tree's descendants allow cycles.
     def descendants(root: int) -> set[int]:
         out: set[int] = set()
         frontier = [root]

@@ -30,10 +30,11 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusError, ValidationError
+from .errors import CorpusError, SchemaError, ValidationError
 from .labels import SimilarityProtocol, similarity
 from .masks import intersection_area, iou
 from .matching import MatchResult, match_trees
@@ -193,9 +194,6 @@ def tree_quality(bq: float, match: MatchResult) -> float:
 def evaluate_image(pred: OpenTree, ref: OpenTree, proto: SimilarityProtocol,
                    tau: float = 0.5) -> OtqReport:
     """Full per-image OTQ report for a prediction against its reference."""
-    if pred.canvas != ref.canvas:
-        raise ValidationError(
-            f"canvas mismatch: {pred.canvas} vs {ref.canvas}")
     match = match_trees(pred, ref, tau)
     image_id = ref.canvas.image_id
     tp, fp, fn = match.tp_count, match.fp_count, match.fn_count
@@ -256,45 +254,62 @@ def aggregate_reports(records: list[OtqReport],
                      per_image=records)
 
 
-def evaluate_corpus(pairs: Iterable[tuple[OpenTree, OpenTree]],
+# A tree, or a corpus document (where, line) with where = "path:lineno".
+TreeSource = OpenTree | tuple[str, str]
+
+
+def _load(source: TreeSource) -> OpenTree:
+    if isinstance(source, OpenTree):
+        return source
+    where, line = source
+    try:
+        return parse_tree(line)
+    except (SchemaError, ValidationError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _score_pair(pair: tuple[TreeSource, TreeSource], proto: SimilarityProtocol,
+                tau: float) -> OtqReport:
+    pred, ref = pair
+    return evaluate_image(_load(pred), _load(ref), proto, tau)
+
+
+def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
                     proto: SimilarityProtocol, tau: float = 0.5,
-                    aggregate: str = "macro") -> OtqReport:
-    """Evaluate (prediction, reference) tree pairs and aggregate."""
+                    aggregate: str = "macro", jobs: int = 1) -> OtqReport:
+    """Score (prediction, reference) pairs and aggregate.
+
+    A side is an ``OpenTree`` or a ``corpus_index`` document, parsed where it
+    is scored; its parse errors are prefixed with its ``path:lineno``.  With
+    ``jobs <= 1`` pairs are consumed lazily; otherwise a process pool scores
+    them.  Records are reduced in sorted image_id order, so the report is
+    identical at any ``jobs``.  Repeated image ids raise ``CorpusError``.
+    """
+    score = partial(_score_pair, proto=proto, tau=tau)
+    if jobs > 1:
+        pairs = list(pairs)
+    if jobs > 1 and len(pairs) > 1:
+        chunk = max(1, len(pairs) // (jobs * 4))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            scored = list(pool.map(score, pairs, chunksize=chunk))
+    else:
+        scored = map(score, pairs)
     records: list[OtqReport] = []
-    seen: set[str] = set()
-    for pred, ref in pairs:
-        if ref.canvas.image_id in seen:
-            raise CorpusError(f"duplicate image_id '{ref.canvas.image_id}'")
-        seen.add(ref.canvas.image_id)
-        records.append(evaluate_image(pred, ref, proto, tau))
+    seen: set[str | None] = set()
+    for record in scored:
+        if record.image_id in seen:
+            raise CorpusError(f"duplicate image_id '{record.image_id}'")
+        seen.add(record.image_id)
+        records.append(record)
     return aggregate_reports(records, aggregate)
-
-
-_WORKER_PROTO: SimilarityProtocol | None = None
-_WORKER_TAU: float = 0.5
-
-
-def _init_worker(proto: SimilarityProtocol, tau: float) -> None:
-    global _WORKER_PROTO, _WORKER_TAU
-    _WORKER_PROTO = proto
-    _WORKER_TAU = tau
-
-
-def _evaluate_lines(task: tuple[str, str]) -> OtqReport:
-    pred_line, ref_line = task
-    assert _WORKER_PROTO is not None
-    return evaluate_image(parse_tree(pred_line), parse_tree(ref_line),
-                          _WORKER_PROTO, _WORKER_TAU)
 
 
 def evaluate_corpus_files(pred_path: str | Path, ref_path: str | Path,
                           proto: SimilarityProtocol, tau: float = 0.5,
                           jobs: int = 1, aggregate: str = "macro") -> OtqReport:
-    """Evaluate two JSONL corpora paired by image_id.
+    """Evaluate two JSONL corpora paired by image_id with ``evaluate_corpus``.
 
-    The image id sets of the two files must match exactly.  With jobs > 1,
-    images are scored in a process pool; the aggregate is reduced in sorted
-    image_id order, so the report is identical at any parallelism level.
+    The image id sets of the two files must match exactly.
     """
     pred_index = corpus_index(pred_path)
     ref_index = corpus_index(ref_path)
@@ -307,18 +322,9 @@ def evaluate_corpus_files(pred_path: str | Path, ref_path: str | Path,
         if missing_pred:
             parts.append(f"references without predictions: {missing_pred[:10]}")
         raise CorpusError("; ".join(parts))
-
-    tasks = [(pred_index[image_id], ref_index[image_id])
+    pairs = [(pred_index[image_id], ref_index[image_id])
              for image_id in sorted(pred_index)]
-    if jobs <= 1 or len(tasks) <= 1:
-        _init_worker(proto, tau)
-        records = [_evaluate_lines(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(proto, tau)) as pool:
-            records = list(pool.map(_evaluate_lines, tasks, chunksize=chunk))
-    return aggregate_reports(records, aggregate)
+    return evaluate_corpus(pairs, proto, tau, aggregate, jobs=jobs)
 
 
 def report_to_json(report: OtqReport) -> str:

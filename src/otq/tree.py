@@ -250,23 +250,27 @@ def serialize_tree(tree: OpenTree) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for each non-blank line of a JSONL file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
 def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
     """Stream trees from a JSONL corpus file, enforcing unique image ids."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                tree = parse_tree(line)
-            except (SchemaError, ValidationError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            if tree.canvas.image_id in seen:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate image_id "
-                    f"'{tree.canvas.image_id}'")
-            seen.add(tree.canvas.image_id)
-            yield tree
+    for lineno, line in iter_lines(path):
+        try:
+            tree = parse_tree(line)
+        except (SchemaError, ValidationError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        if tree.canvas.image_id in seen:
+            raise CorpusError(
+                f"{path}:{lineno}: duplicate image_id '{tree.canvas.image_id}'")
+        seen.add(tree.canvas.image_id)
+        yield tree
 
 
 def write_corpus(trees: Iterable[OpenTree], path: str | Path) -> int:
@@ -283,29 +287,27 @@ def write_corpus(trees: Iterable[OpenTree], path: str | Path) -> int:
     return n
 
 
-def corpus_index(path: str | Path) -> dict[str, str]:
-    """Map image_id to raw document line without decoding masks.
+def corpus_index(path: str | Path) -> dict[str, tuple[str, str]]:
+    """Map image_id to its document ``(where, line)`` without decoding masks;
+    ``where`` is ``"path:lineno"``.
 
-    Used to pair prediction and reference corpora cheaply; full validation
-    happens when the lines are actually parsed.
+    Used to pair corpora cheaply; ``metric.evaluate_corpus`` parses the lines
+    and prefixes their errors with ``where``.
     """
-    index: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"{path}:{lineno}: malformed JSON at byte offset "
-                    f"{exc.pos}: {exc.msg}") from exc
-            image_id = payload.get("image_id") if isinstance(payload, dict) else None
-            if not isinstance(image_id, str):
-                raise SchemaError(f"{path}:{lineno}: image_id must be a string")
-            if image_id in index:
-                raise CorpusError(f"{path}:{lineno}: duplicate image_id '{image_id}'")
-            index[image_id] = line
+    index: dict[str, tuple[str, str]] = {}
+    for lineno, line in iter_lines(path):
+        where = f"{path}:{lineno}"
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"{where}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+        image_id = payload.get("image_id") if isinstance(payload, dict) else None
+        if not isinstance(image_id, str):
+            raise SchemaError(f"{where}: image_id must be a string")
+        if image_id in index:
+            raise CorpusError(f"{where}: duplicate image_id '{image_id}'")
+        index[image_id] = (where, line)
     return index
 
 

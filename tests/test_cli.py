@@ -72,6 +72,23 @@ class TestEvaluate:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("side", ["--pred", "--ref"])
+    def test_bad_rle_names_path_and_line(self, corpus_path, tmp_path, capsys,
+                                         side, jobs):
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["nodes"][0]["rle"] = "0 6"
+        lines[1] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        paths = {"--pred": str(corpus_path), "--ref": str(corpus_path), side: str(bad)}
+        code = main(["evaluate", "--pred", paths["--pred"], "--ref", paths["--ref"],
+                     "--jobs", jobs])
+        assert code == 1
+        node_id = doc["nodes"][0]["id"]
+        assert f"{bad}:2: node {node_id}: RLE covers 6 pixels" in capsys.readouterr().err
+
     def test_bad_tau_exits_3(self, corpus_path):
         code = main(["evaluate", "--pred", str(corpus_path),
                      "--ref", str(corpus_path), "--tau", "1.5"])

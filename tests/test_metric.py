@@ -7,6 +7,7 @@ import pytest
 
 from otq import (
     ROOT_ID,
+    CorpusError,
     SimilarityProtocol,
     ValidationError,
     aggregate_reports,
@@ -27,6 +28,7 @@ from otq import (
     tree_quality,
     write_corpus,
 )
+from otq.tree import corpus_index
 
 from conftest import make_tree, rect
 from oracles import naive_bq
@@ -327,6 +329,21 @@ class TestEvaluateCorpus:
         assert micro.tq == pytest.approx(
             micro.bq * tp / (tp + 0.5 * fp + 0.5 * fn), abs=1e-12)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_image_id_rejected(self, two_branch_tree, jobs):
+        pairs = [(two_branch_tree, two_branch_tree)] * 2
+        with pytest.raises(CorpusError, match="duplicate image_id 'img'"):
+            evaluate_corpus(pairs, STRICT, jobs=jobs)
+
+    def test_corpus_documents_score_like_trees(self, tmp_path):
+        trees = list(synthetic_corpus(3, seed=23))
+        path = tmp_path / "ref.jsonl"
+        write_corpus(trees, path)
+        index = corpus_index(path)
+        docs = evaluate_corpus(((index[t.canvas.image_id], t) for t in trees), STRICT)
+        same = evaluate_corpus(((t, t) for t in trees), STRICT)
+        assert report_to_json(docs) == report_to_json(same)
+
     def test_corpus_files_parallel_identical(self, tmp_path):
         trees = list(synthetic_corpus(8, seed=21))
         ref_path = tmp_path / "ref.jsonl"
@@ -343,7 +360,6 @@ class TestEvaluateCorpus:
         pred_path = tmp_path / "pred.jsonl"
         write_corpus(trees, ref_path)
         write_corpus(trees[:2], pred_path)
-        from otq import CorpusError
         with pytest.raises(CorpusError, match="img-0002"):
             evaluate_corpus_files(pred_path, ref_path, STRICT)
 

@@ -19,6 +19,7 @@ from otq import (
     synthetic_tree,
     write_corpus,
 )
+from otq.tree import corpus_index
 
 from conftest import make_tree, rect
 from oracles import bfs_depths
@@ -201,6 +202,13 @@ class TestCorpusIo:
         path.write_text(serialize_tree(chain_tree) + "\n" + "{broken\n")
         with pytest.raises(SchemaError, match=":2:"):
             list(iter_corpus(path))
+
+    def test_index_maps_id_to_where_and_line(self, tmp_path, chain_tree):
+        path = tmp_path / "corpus.jsonl"
+        line = serialize_tree(chain_tree) + "\n"
+        path.write_text("\n" + line)
+        assert corpus_index(path) == {
+            chain_tree.canvas.image_id: (f"{path}:2", line)}
 
 
 class TestProjectFlat:
