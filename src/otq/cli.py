@@ -27,8 +27,8 @@ from .labels import protocol_from_spec
 from .metric import evaluate_corpus_files, report_to_csv, report_to_json, report_to_table
 from .pipeline import load_scene_script, run_pipeline
 from .stats import compat_eval, corpus_stats, stats_to_json
-from .tree import (iter_corpus, iter_lines, parse_tree, project_flat, serialize_tree,
-                   write_corpus)
+from .tree import (iter_corpus, iter_lines, located, parse_tree, project_flat,
+                   serialize_tree, write_corpus)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -168,14 +168,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     problems = []
     seen: set[str] = set()
     for lineno, line in iter_lines(args.input):
+        where = f"{args.input}:{lineno}"
         try:
-            tree = parse_tree(line)
+            with located(where):
+                tree = parse_tree(line)
         except (SchemaError, ValidationError) as exc:
-            problems.append(f"line {lineno}: {exc}")
+            problems.append(str(exc))
             continue
         if tree.canvas.image_id in seen:
             problems.append(
-                f"line {lineno}: duplicate image_id '{tree.canvas.image_id}'")
+                f"{where}: duplicate image_id '{tree.canvas.image_id}'")
         seen.add(tree.canvas.image_id)
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -20,7 +20,6 @@ driven by a per-image stream derived from (seed, image_id).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -29,8 +28,6 @@ from .errors import ConfigError
 from .masks import Mask, dilate, erode
 from .seeding import choose, derive_rng, sample_without_replacement
 from .tree import ROOT_ID, InstanceNode, OpenTree
-
-log = logging.getLogger(__name__)
 
 KINDS = (
     "mask_erosion",
@@ -60,8 +57,8 @@ class DegradeSpec:
 
 
 def _corrupt_count(keep_ratio: float, n_candidates: int) -> int:
-    # ceil((1 - keep) * n) with an epsilon guard against float noise like
-    # (1 - 0.7) * 10 -> 3.0000000000000004.
+    # ceil((1 - keep) * n), at most n as keep > 0, with an epsilon guard
+    # against float noise like (1 - 0.7) * 10 -> 3.0000000000000004.
     return max(0, math.ceil((1.0 - keep_ratio) * n_candidates - 1e-9))
 
 
@@ -141,11 +138,6 @@ def _remove_nodes(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
     else:
         candidates = sorted(tree.nodes)
     k = _corrupt_count(spec.keep_ratio, len(candidates))
-    if k > len(candidates):
-        log.warning("image %s: asked to remove %d of %d %s candidates, "
-                    "removing all", tree.canvas.image_id, k, len(candidates),
-                    spec.kind)
-        k = len(candidates)
     if k == 0:
         return tree
     rng = derive_rng(spec.seed, tree.canvas.image_id)

@@ -4,7 +4,8 @@ Masks are dense boolean arrays of shape (height, width) wrapped in a small
 immutable-by-convention class that caches area and bounding box.  The wire
 format is uncompressed COCO-style RLE: pixels are read in column-major order
 and encoded as space-separated run lengths, with the first run counting
-zeros (possibly 0).
+zeros (possibly 0).  Erosion and dilation give the result of iterated 3x3
+steps, computed from one distance transform.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import MaskError, RleError
-
-# 3x3 full structuring element; one morphology "step" everywhere below.
-_SEL3 = np.ones((3, 3), dtype=bool)
 
 # Area thresholds (pixels) of the four mask-size bins.
 _XS_UPPER = 10**2
@@ -77,9 +75,6 @@ class Mask:
                 self._bbox = (int(rows[0]), int(rows[-1]) + 1,
                               int(cols[0]), int(cols[-1]) + 1)
         return self._bbox
-
-    def is_empty(self) -> bool:
-        return self.area == 0
 
     @classmethod
     def from_rle(cls, rle: str, width: int, height: int) -> "Mask":
@@ -206,6 +201,26 @@ def mask_difference(a: Mask, b: Mask) -> Mask:
     return Mask(a.pixels & ~b.pixels)
 
 
+def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
+    """Erode or dilate ``m`` by the 3x3 step count k whose area is the closer
+    of the two bracketing ``target`` (ties to the larger k), reading the area
+    after every k off one chessboard distance transform."""
+    if grow:  # k dilations cover the pixels within k of the mask
+        dist = ndimage.distance_transform_cdt(~m.pixels, metric="chessboard")
+    else:  # k erosions keep the pixels farther than k from off-mask or off-canvas
+        padded = np.pad(m.pixels, 1)
+        dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
+    within = np.cumsum(np.bincount(dist.ravel()))
+    areas = within if grow else dist.size - within
+    # Areas are monotone in k, so the counts short of the target are a prefix;
+    # a dilation that cannot reach it stops at full-canvas coverage.
+    short = areas < target if grow else areas > target
+    k = min(int(np.count_nonzero(short)), areas.size - 1)
+    if k and abs(areas[k] - target) > abs(areas[k - 1] - target):
+        k -= 1
+    return Mask(dist <= k if grow else dist > k) if k else m
+
+
 def erode(m: Mask, target_keep_ratio: float) -> Mask:
     """Iterated 3x3 erosion until the kept-area fraction brackets the target.
 
@@ -218,16 +233,7 @@ def erode(m: Mask, target_keep_ratio: float) -> Mask:
         raise MaskError("cannot erode an empty mask")
     if target_keep_ratio == 1.0:
         return m
-    target = target_keep_ratio * m.area
-    prev, prev_area = m.pixels, m.area
-    while True:
-        nxt = ndimage.binary_erosion(prev, structure=_SEL3)
-        nxt_area = int(np.count_nonzero(nxt))
-        if nxt_area <= target:
-            if abs(nxt_area - target) <= abs(prev_area - target):
-                return Mask(nxt)
-            return Mask(prev) if prev is not m.pixels else m
-        prev, prev_area = nxt, nxt_area
+    return _steps_toward(m, target_keep_ratio * m.area, grow=False)
 
 
 def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
@@ -243,19 +249,7 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
         raise MaskError("cannot dilate an empty mask")
     if target_grow_to_ratio == 1.0:
         return m
-    target = target_grow_to_ratio * m.area
-    prev, prev_area = m.pixels, m.area
-    while True:
-        nxt = ndimage.binary_dilation(prev, structure=_SEL3)
-        nxt_area = int(np.count_nonzero(nxt))
-        if nxt_area == prev_area:
-            # Saturated: nothing reachable left to grow into.
-            return Mask(prev) if prev is not m.pixels else m
-        if nxt_area >= target:
-            if abs(nxt_area - target) <= abs(prev_area - target):
-                return Mask(nxt)
-            return Mask(prev) if prev is not m.pixels else m
-        prev, prev_area = nxt, nxt_area
+    return _steps_toward(m, target_grow_to_ratio * m.area, grow=True)
 
 
 def size_bin(m: Mask) -> SizeBin:

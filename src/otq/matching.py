@@ -69,12 +69,11 @@ def _canonicalize(rows: list[int], cols: list[int], wq: np.ndarray) -> list[int]
     return cols
 
 
-def max_weight_assignment(weights: np.ndarray,
-                          decimals: int = IOU_DECIMALS) -> list[tuple[int, int]]:
+def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total assignment on a dense weight matrix.
 
-    Weights are quantized to ``decimals`` digits; zero-weight pairs are never
-    part of the result.  Returns (row, col) index pairs sorted by row.
+    Weights are quantized to ``IOU_DECIMALS`` digits; zero-weight pairs are
+    never part of the result.  Returns (row, col) index pairs sorted by row.
     """
     if weights.size == 0:
         return []

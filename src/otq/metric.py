@@ -34,11 +34,11 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusError, SchemaError, ValidationError
+from .errors import CorpusError
 from .labels import SimilarityProtocol, similarity
 from .masks import intersection_area, iou
 from .matching import MatchResult, match_trees
-from .tree import ROOT_ID, OpenTree, corpus_index, parse_tree
+from .tree import ROOT_ID, OpenTree, corpus_index, located, parse_tree
 
 METRIC_FIELDS = ("otq", "tq", "bq", "mean_nq", "mq", "lq")
 COUNT_FIELDS = ("tp", "fp", "fn", "n_pairs")
@@ -262,16 +262,17 @@ def _load(source: TreeSource) -> OpenTree:
     if isinstance(source, OpenTree):
         return source
     where, line = source
-    try:
+    with located(where):
         return parse_tree(line)
-    except (SchemaError, ValidationError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _score_pair(pair: tuple[TreeSource, TreeSource], proto: SimilarityProtocol,
                 tau: float) -> OtqReport:
-    pred, ref = pair
-    return evaluate_image(_load(pred), _load(ref), proto, tau)
+    pred, ref = map(_load, pair)
+    pred_at, ref_at = ("in memory" if isinstance(side, OpenTree) else side[0]
+                       for side in pair)
+    with located(f"image '{ref.canvas.image_id}' (pred {pred_at}, ref {ref_at})"):
+        return evaluate_image(pred, ref, proto, tau)
 
 
 def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
@@ -280,7 +281,8 @@ def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
     """Score (prediction, reference) pairs and aggregate.
 
     A side is an ``OpenTree`` or a ``corpus_index`` document, parsed where it
-    is scored; its parse errors are prefixed with its ``path:lineno``.  With
+    is scored; its parse errors are prefixed with its ``path:lineno``, and
+    errors scoring the pair with the image id and both sides.  With
     ``jobs <= 1`` pairs are consumed lazily; otherwise a process pool scores
     them.  Records are reduced in sorted image_id order, so the report is
     identical at any ``jobs``.  Repeated image ids raise ``CorpusError``.

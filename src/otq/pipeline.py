@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .errors import PipelineError, SchemaError
+from .errors import PipelineError, RleError, SchemaError, ValidationError
 from .masks import Mask, containment, intersection_area, iou, mask_difference, union_masks
 from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree
 
@@ -83,7 +83,6 @@ class Proposal:
     label: str
     masks: list[Mask]
     confidences: list[float]
-    parent_semantic_id: int = ROOT_ID
 
     def __post_init__(self) -> None:
         if len(self.masks) != len(self.confidences):
@@ -103,7 +102,6 @@ class SemanticNode:
     depth: int
     is_residual: bool = False
     others_mask: Mask | None = None
-    member_ids: list[int] = field(default_factory=list)
 
     @property
     def union_mask(self) -> Mask:
@@ -147,7 +145,7 @@ def filter_proposal(p: Proposal, parent_mask: Mask | None,
                 continue
         masks.append(mask)
         confidences.append(conf)
-    return Proposal(p.label, masks, confidences, p.parent_semantic_id)
+    return Proposal(p.label, masks, confidences)
 
 
 def merge_siblings(siblings: Sequence[Mask]) -> list[Mask]:
@@ -218,7 +216,6 @@ def decompose(canvas: ImageCanvas, proposer: Proposer, grounder: Grounder,
                 raise PipelineError(
                     f"grounder failed for {child_label!r} at path {path!r}: "
                     f"{exc}") from exc
-            proposal = replace(proposal, parent_semantic_id=parent_sem_id)
             proposal = filter_proposal(proposal, parent_mask, canvas)
             if not proposal.masks:
                 continue
@@ -296,26 +293,23 @@ def materialize_instances(semantic_tree: SemanticTree,
     """
     canvas = canvas or semantic_tree.canvas
     nodes: list[InstanceNode] = []
-    mask_of: dict[int, Mask] = {}
+    # Instances (id, mask) of each materialized semantic node.
+    members_of: dict[int, list[tuple[int, Mask]]] = {}
     next_instance = 1
-    skipped: set[int] = set()
+    has_children = {node.parent_id for node in semantic_tree.nodes.values()}
     for sem_id in sorted(semantic_tree.nodes):
         sem = semantic_tree.nodes[sem_id]
-        if sem.is_residual and not semantic_tree.children(sem_id):
-            skipped.add(sem_id)
+        if sem.is_residual and sem_id not in has_children:
             continue
-        sem.member_ids = []
         if sem.parent_id == ROOT_ID:
             candidates = None
         else:
-            if sem.parent_id in skipped:
-                skipped.add(sem_id)
-                continue
-            parent_sem = semantic_tree.nodes[sem.parent_id]
-            candidates = [(mid, mask_of[mid]) for mid in parent_sem.member_ids]
+            # Parents precede children in id order; a parent left out or
+            # without instances drops the whole subtree.
+            candidates = members_of.get(sem.parent_id)
             if not candidates:
-                skipped.add(sem_id)
                 continue
+        members = members_of[sem_id] = []
         for mask in sem.masks:
             if candidates is None:
                 parent_instance = ROOT_ID
@@ -334,8 +328,7 @@ def materialize_instances(semantic_tree: SemanticTree,
                     continue  # no containment evidence anywhere: noise
             nodes.append(InstanceNode(next_instance, sem.label, mask,
                                       parent_instance))
-            mask_of[next_instance] = mask
-            sem.member_ids.append(next_instance)
+            members.append((next_instance, mask))
             next_instance += 1
     return OpenTree(canvas, nodes)
 
@@ -396,11 +389,18 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
     children = payload.get("children", {})
     groundings: dict[str, list[tuple[Mask, float]]] = {}
     for label, entries in payload.get("masks", {}).items():
-        groundings[label] = [
-            (Mask.from_rle(e["rle"], canvas.width, canvas.height),
-             float(e["confidence"]))
-            for e in entries
-        ]
+        groundings[label] = []
+        for i, entry in enumerate(entries):
+            where = f"{path}: masks[{label!r}][{i}]"
+            if not (isinstance(entry, dict) and isinstance(entry.get("rle"), str)
+                    and isinstance(entry.get("confidence"), (int, float))):
+                raise SchemaError(
+                    f"{where}: needs a string 'rle' and a numeric 'confidence'")
+            try:
+                mask = Mask.from_rle(entry["rle"], canvas.width, canvas.height)
+            except RleError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
+            groundings[label].append((mask, float(entry["confidence"])))
     limits_raw = payload.get("limits", {})
     limits = PipelineLimits(
         max_depth=int(limits_raw.get("max_depth", PipelineLimits.max_depth)),

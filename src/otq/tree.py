@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CorpusError, RleError, SchemaError, ValidationError
+from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
 from .masks import Mask
 
 ROOT_ID = -1
@@ -131,9 +132,6 @@ class OpenTree:
     def n_nodes(self) -> int:
         """Number of instance nodes (the artificial root is not counted)."""
         return len(self.nodes)
-
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(self.nodes)
 
     def depth(self, node_id: int) -> int:
         """Edge distance from the artificial root; the root itself has depth 0."""
@@ -250,6 +248,16 @@ def serialize_tree(tree: OpenTree) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+@contextmanager
+def located(where: str) -> Iterator[None]:
+    """Re-raise an ``OtqError`` from the block, such as a parse's
+    ``SchemaError``/``ValidationError``, with a ``where: `` prefix."""
+    try:
+        yield
+    except OtqError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for each non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -262,10 +270,8 @@ def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
     """Stream trees from a JSONL corpus file, enforcing unique image ids."""
     seen: set[str] = set()
     for lineno, line in iter_lines(path):
-        try:
+        with located(f"{path}:{lineno}"):
             tree = parse_tree(line)
-        except (SchemaError, ValidationError) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         if tree.canvas.image_id in seen:
             raise CorpusError(
                 f"{path}:{lineno}: duplicate image_id '{tree.canvas.image_id}'")

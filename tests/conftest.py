@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from otq import ImageCanvas, InstanceNode, Mask, OpenTree, ROOT_ID
+
+# The same examples on every run, with no example database and no per-example
+# deadline, so the tier-1 result does not depend on earlier runs or host speed.
+settings.register_profile("otq", derandomize=True, database=None, deadline=None)
+settings.load_profile("otq")
 
 
 def rect(width: int, height: int, row: int, col: int,

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: assignments by exhaustive
 enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
 intersection, skeletons by a direct reading of the climbing rule on full
-mask arrays.  Nothing imports the modules under test beyond data types.
+mask arrays, morphology by one 3x3 step at a time.  Nothing imports the
+modules under test beyond data types.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import ndimage
 
 from otq import ROOT_ID, OpenTree
 
@@ -141,3 +143,39 @@ def root_lca_pair_fraction(ref: OpenTree, tp_ref_ids: list[int]) -> float:
         at_root += tree_lca(ref, a, b) == ROOT_ID
         total += 1
     return at_root / total
+
+
+_SQUARE3 = np.ones((3, 3), dtype=bool)
+
+
+def _closer_step(prev: np.ndarray, nxt: np.ndarray, target: float) -> np.ndarray:
+    """Of two bracketing steps the closer in area wins; ties go to ``nxt``."""
+    nxt_off = abs(int(np.count_nonzero(nxt)) - target)
+    prev_off = abs(int(np.count_nonzero(prev)) - target)
+    return nxt if nxt_off <= prev_off else prev
+
+
+def iterated_erode(pixels: np.ndarray, keep_ratio: float) -> np.ndarray:
+    """3x3 erosions one step at a time until the area drops to
+    ``keep_ratio`` times the original or below."""
+    target = keep_ratio * int(np.count_nonzero(pixels))
+    prev = pixels
+    while True:
+        nxt = ndimage.binary_erosion(prev, structure=_SQUARE3)
+        if np.count_nonzero(nxt) <= target:
+            return _closer_step(prev, nxt, target)
+        prev = nxt
+
+
+def iterated_dilate(pixels: np.ndarray, grow_ratio: float) -> np.ndarray:
+    """3x3 dilations one step at a time until the area reaches
+    ``grow_ratio`` times the original, or stops growing."""
+    target = grow_ratio * int(np.count_nonzero(pixels))
+    prev = pixels
+    while True:
+        nxt = ndimage.binary_dilation(prev, structure=_SQUARE3)
+        if np.count_nonzero(nxt) == np.count_nonzero(prev):
+            return prev
+        if np.count_nonzero(nxt) >= target:
+            return _closer_step(prev, nxt, target)
+        prev = nxt

@@ -89,6 +89,34 @@ class TestEvaluate:
         node_id = doc["nodes"][0]["id"]
         assert f"{bad}:2: node {node_id}: RLE covers 6 pixels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["canvas", "table"])
+    def test_pair_error_names_image_and_documents(self, corpus_path, tmp_path,
+                                                  capsys, fault, jobs):
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        options = []
+        if fault == "canvas":
+            doc["width"], doc["height"] = doc["height"], doc["width"]
+            expected = "canvas mismatch"
+        else:
+            from otq.synth import DEFAULT_VOCAB as vocab
+            doc["nodes"][0]["label"] = "not-in-table"
+            table = tmp_path / "sims.jsonl"
+            table.write_text(json.dumps({"a": vocab[0], "b": vocab[1], "sim": 0.5}))
+            options = ["--label-sim", f"table:{table}"]
+            expected = "missing from similarity table"
+        lines[1] = json.dumps(doc)
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--pred", str(pred), "--ref", str(corpus_path),
+                     "--jobs", jobs] + options)
+        assert code == 1
+        err = capsys.readouterr().err
+        where = f"image '{doc['image_id']}' (pred {pred}:2, ref {corpus_path}:2)"
+        assert err.startswith(f"otq: {where}: ")
+        assert expected in err
+
     def test_bad_tau_exits_3(self, corpus_path):
         code = main(["evaluate", "--pred", str(corpus_path),
                      "--ref", str(corpus_path), "--tau", "1.5"])
@@ -203,7 +231,7 @@ class TestValidate:
         bad.write_text("\n".join([lines[0], "{oops", json.dumps(doc)]) + "\n")
         assert main(["validate", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err and "line 3" in err
+        assert f"{bad}:2: " in err and f"{bad}:3: " in err
 
     def test_duplicate_ids_reported(self, tmp_path, capsys, corpus_path):
         line = corpus_path.read_text().splitlines()[0]
@@ -231,6 +259,23 @@ class TestPipelineCommand:
         from otq import parse_tree
         tree = parse_tree(capsys.readouterr().out.strip())
         assert {n.label for n in tree.nodes.values()} == {"ground", "wheel"}
+
+    @pytest.mark.parametrize("entry, problem", [
+        ({"rle": "0 16"}, "needs a string 'rle' and a numeric 'confidence'"),
+        ({"confidence": 0.9}, "needs a string 'rle' and a numeric 'confidence'"),
+        ({"rle": "15", "confidence": 0.9}, "RLE covers 15 pixels, canvas has 16"),
+    ], ids=["no-confidence", "no-rle", "bad-rle"])
+    def test_bad_mask_entry_names_script_label_and_index(self, tmp_path, capsys,
+                                                         entry, problem):
+        script = {
+            "image_id": "scene", "width": 4, "height": 4,
+            "children": {"": ["blob"]},
+            "masks": {"blob": [{"rle": "5 6 5", "confidence": 0.9}, entry]},
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(script))
+        assert main(["pipeline", "--script", str(path)]) == 1
+        assert capsys.readouterr().err == f"otq: {path}: masks['blob'][1]: {problem}\n"
 
     def test_missing_script_exits_2(self, tmp_path):
         assert main(["pipeline", "--script", str(tmp_path / "nope.json")]) == 2

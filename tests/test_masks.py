@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from otq import (
     Mask,
@@ -19,6 +23,7 @@ from otq import (
 )
 
 from conftest import rect
+from oracles import iterated_dilate, iterated_erode
 
 
 class TestRle:
@@ -186,6 +191,55 @@ class TestMorphology:
                 continue
             out = dilate(m, float(rng.uniform(1.0, 3.0)))
             assert not np.any(m.pixels & ~out.pixels)
+
+
+@st.composite
+def mask_pixels(draw):
+    """Nonempty masks on canvases from 1x1 up, 1xN and Nx1 included: random
+    pixels (often touching the border), a full canvas or a single pixel."""
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(("random", "full", "pixel")))
+    if kind == "random":
+        pixels = draw(hnp.arrays(bool, (height, width)))
+        assume(pixels.any())
+    else:
+        pixels = np.full((height, width), kind == "full")
+        pixels[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    return pixels
+
+
+class TestMorphologyMatchesIteratedSteps:
+    @given(mask_pixels(), st.floats(0.001, 1.0))
+    def test_erode(self, pixels, ratio):
+        out = erode(Mask(pixels), ratio).pixels
+        assert np.array_equal(out, iterated_erode(pixels, ratio))
+
+    @given(mask_pixels(), st.floats(1.0, 50.0))
+    def test_dilate(self, pixels, ratio):
+        out = dilate(Mask(pixels), ratio).pixels
+        assert np.array_equal(out, iterated_dilate(pixels, ratio))
+
+    @given(mask_pixels(), st.integers(0, 3), st.booleans())
+    def test_bracket_tie_goes_to_later_step(self, pixels, step, grow):
+        # A target exactly midway between the areas after `step` and
+        # `step + 1` steps.
+        op = ndimage.binary_dilation if grow else ndimage.binary_erosion
+        square = np.ones((3, 3), dtype=bool)
+        cur = pixels
+        for _ in range(step):
+            cur = op(cur, structure=square)
+        before = int(np.count_nonzero(cur))
+        after = int(np.count_nonzero(op(cur, structure=square)))
+        assume(before != after)
+        area = int(np.count_nonzero(pixels))
+        ratio = (before + after) / 2 / area
+        assume(ratio * area == (before + after) / 2)
+        if grow:
+            out, expected = dilate(Mask(pixels), ratio), iterated_dilate(pixels, ratio)
+        else:
+            out, expected = erode(Mask(pixels), ratio), iterated_erode(pixels, ratio)
+        assert out.area == after
+        assert np.array_equal(out.pixels, expected)
 
 
 class TestSizeBin:
