@@ -16,19 +16,19 @@ GRID_FIELDS = ("kind", "keep") + METRIC_FIELDS + ("tp", "fp", "fn")
 
 
 def audit_grid(trees: Iterable[OpenTree], proto: SimilarityProtocol,
-               kinds: Sequence[str] = KINDS,
                keep_ratios: Sequence[float] = SWEEP_KEEP_RATIOS,
-               tau: float = 0.5, seed: int = 0) -> list[dict]:
-    """One row per degradation setting, plus the untouched baseline row."""
+               seed: int = 0) -> list[dict]:
+    """One row per degradation kind and keep ratio, plus the untouched
+    baseline row; pairs are scored at the default node threshold."""
     trees = list(trees)
     rows = []
-    baseline = evaluate_corpus(((t, t) for t in trees), proto, tau)
+    baseline = evaluate_corpus(((t, t) for t in trees), proto)
     rows.append(_row("none", 1.0, baseline))
-    for kind in kinds:
+    for kind in KINDS:
         for keep in keep_ratios:
             spec = DegradeSpec(kind=kind, keep_ratio=keep, seed=seed)
             report = evaluate_corpus(
-                ((degrade_tree(t, spec), t) for t in trees), proto, tau)
+                ((degrade_tree(t, spec), t) for t in trees), proto)
             rows.append(_row(kind, keep, report))
     return rows
 

@@ -11,7 +11,8 @@ One binary with subcommands::
 
 Machine-readable JSON is the primary output; CSV and aligned text tables
 are available for evaluation reports.  Exit codes: 0 ok, 1 validation,
-2 I/O, 3 configuration.  OTQ_JOBS sets the default worker count.
+2 I/O or a worker process that died, 3 configuration.  OTQ_JOBS sets the
+default worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .degrade import KINDS, DegradeSpec, degrade_corpus
@@ -216,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"otq: i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"otq: a worker process died: {exc}", file=sys.stderr)
         return EXIT_IO
     except OtqError as exc:
         print(f"otq: {exc}", file=sys.stderr)

@@ -1,13 +1,12 @@
 """Label-similarity protocols producing scores in [0, 1].
 
-Three protocol kinds are supported:
-
-* ``strict`` scores 1 for exactly equal normalized labels, else 0.
-* ``constant_one`` scores 1 for every pair (the label-agnostic "LQ1" view).
-* ``table`` looks pairs up in a precomputed symmetric table, e.g. produced
-  offline from embedding or lexical backends.  Self-pairs default to 1 when
-  absent; missing cross-pairs either fall back to a configured default or
-  reject the evaluation outright.
+A protocol is a symmetric table of label-pair similarities, e.g. produced
+offline from embedding or lexical backends, plus a default for pairs the
+table lacks.  Self-pairs score 1 when absent; missing cross-pairs score the
+default, or reject the evaluation outright when the default is ``REJECT``.
+``strict`` (exact match) is the empty table with default 0, and
+``constant_one`` (the label-agnostic "LQ1" view) the empty table with
+default 1.
 """
 
 from __future__ import annotations
@@ -29,66 +28,45 @@ REJECT = "reject"
 
 @dataclass(frozen=True)
 class SimilarityProtocol:
-    kind: str
-    table: Mapping[tuple[str, str], float] | None = None
+    """``table`` maps sorted normalized label pairs to similarities."""
+
+    table: Mapping[tuple[str, str], float] = field(default_factory=dict)
     default_for_missing: float | str = REJECT
-    name: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        default = self.default_for_missing
+        if isinstance(default, str) and default != REJECT:
+            raise SimilarityError(
+                f"default_for_missing must be a float or {REJECT!r}")
+        if not isinstance(default, str) and not 0.0 <= default <= 1.0:
+            raise SimilarityError(
+                f"default_for_missing {default} outside [0, 1]")
 
     @classmethod
     def strict(cls) -> "SimilarityProtocol":
-        return cls(kind="strict", name="strict")
+        return cls(default_for_missing=0.0)
 
     @classmethod
     def constant_one(cls) -> "SimilarityProtocol":
-        return cls(kind="constant_one", name="lq1")
-
-    @classmethod
-    def from_table(cls, table: Mapping[tuple[str, str], float],
-                   default_for_missing: float | str = REJECT,
-                   name: str = "table") -> "SimilarityProtocol":
-        clean: dict[tuple[str, str], float] = {}
-        for (a, b), sim in table.items():
-            if not 0.0 <= sim <= 1.0:
-                raise SimilarityError(
-                    f"similarity for ({a!r}, {b!r}) is {sim}, outside [0, 1]")
-            a, b = normalize_label(a), normalize_label(b)
-            clean[(a, b) if a <= b else (b, a)] = float(sim)
-        if (isinstance(default_for_missing, str)
-                and default_for_missing != REJECT):
-            raise SimilarityError(
-                f"default_for_missing must be a float or {REJECT!r}")
-        if (not isinstance(default_for_missing, str)
-                and not 0.0 <= default_for_missing <= 1.0):
-            raise SimilarityError(
-                f"default_for_missing {default_for_missing} outside [0, 1]")
-        return cls(kind="table", table=clean,
-                   default_for_missing=default_for_missing, name=name)
+        return cls(default_for_missing=1.0)
 
 
 def similarity(proto: SimilarityProtocol, a: str, b: str) -> float:
     """Symmetric similarity of two normalized labels under a protocol."""
-    if proto.kind == "strict":
-        return 1.0 if a == b else 0.0
-    if proto.kind == "constant_one":
+    value = proto.table.get((a, b) if a <= b else (b, a))
+    if value is not None:
+        return value
+    if a == b:
         return 1.0
-    if proto.kind == "table":
-        key = (a, b) if a <= b else (b, a)
-        assert proto.table is not None
-        value = proto.table.get(key)
-        if value is not None:
-            return value
-        if a == b:
-            return 1.0
-        if proto.default_for_missing == REJECT:
-            raise SimilarityError(
-                f"label pair ({a!r}, {b!r}) missing from similarity table")
-        return float(proto.default_for_missing)
-    raise SimilarityError(f"unknown protocol kind {proto.kind!r}")
+    if proto.default_for_missing == REJECT:
+        raise SimilarityError(
+            f"label pair ({a!r}, {b!r}) missing from similarity table")
+    return float(proto.default_for_missing)
 
 
 def load_similarity_table(source: str | Path | Iterable[str],
-                          default_for_missing: float | str = REJECT,
-                          name: str = "table") -> SimilarityProtocol:
+                          default_for_missing: float | str = REJECT
+                          ) -> SimilarityProtocol:
     """Load a JSONL table of ``{"a": str, "b": str, "sim": float}`` rows.
 
     Labels are normalized on load; of duplicate unordered pairs the later row
@@ -96,8 +74,7 @@ def load_similarity_table(source: str | Path | Iterable[str],
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_similarity_table(list(fh), default_for_missing,
-                                         name=str(source))
+            return load_similarity_table(list(fh), default_for_missing)
     table: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
@@ -121,7 +98,7 @@ def load_similarity_table(source: str | Path | Iterable[str],
             log.warning("duplicate similarity pair %r at line %d, later value wins",
                         key, lineno)
         table[key] = sim
-    return SimilarityProtocol.from_table(table, default_for_missing, name=name)
+    return SimilarityProtocol(table, default_for_missing)
 
 
 def protocol_from_spec(spec: str,

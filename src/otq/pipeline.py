@@ -33,7 +33,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .errors import PipelineError, RleError, SchemaError, ValidationError
 from .masks import Mask, containment, intersection_area, iou, mask_difference, union_masks
-from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree
+from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree, _is_int
 
 OTHERS_LABEL = "others"
 
@@ -280,8 +280,7 @@ def _semantic_path(tree: SemanticTree, sem_id: int) -> tuple[str, ...]:
     return tuple(reversed(labels))
 
 
-def materialize_instances(semantic_tree: SemanticTree,
-                          canvas: ImageCanvas | None = None) -> OpenTree:
+def materialize_instances(semantic_tree: SemanticTree) -> OpenTree:
     """Flatten grouped semantic masks into an instance-level tree.
 
     Residual ``others`` nodes materialize only when they were actually
@@ -291,7 +290,6 @@ def materialize_instances(semantic_tree: SemanticTree,
     containment against every candidate are dropped as noise, together with
     the subtree hanging off them.
     """
-    canvas = canvas or semantic_tree.canvas
     nodes: list[InstanceNode] = []
     # Instances (id, mask) of each materialized semantic node.
     members_of: dict[int, list[tuple[int, Mask]]] = {}
@@ -330,7 +328,7 @@ def materialize_instances(semantic_tree: SemanticTree,
                                       parent_instance))
             members.append((next_instance, mask))
             next_instance += 1
-    return OpenTree(canvas, nodes)
+    return OpenTree(semantic_tree.canvas, nodes)
 
 
 def run_pipeline(canvas: ImageCanvas, proposer: Proposer, grounder: Grounder,
@@ -382,13 +380,31 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: malformed JSON: {exc.msg}") from exc
+
+    def require(cond: bool, key: str, what: str) -> None:
+        if not cond:
+            raise SchemaError(f"{path}: {key}: must be {what}")
+
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: script must be a JSON object")
     for key in ("image_id", "width", "height"):
         if key not in payload:
             raise SchemaError(f"{path}: missing {key!r}")
+    require(isinstance(payload["image_id"], str), "image_id", "a string")
+    for key in ("width", "height"):
+        require(_is_int(payload[key]), key, "an integer")
     canvas = ImageCanvas(payload["image_id"], payload["width"], payload["height"])
     children = payload.get("children", {})
+    require(isinstance(children, dict), "children", "an object")
+    for parent, labels in children.items():
+        require(isinstance(labels, list)
+                and all(isinstance(label, str) for label in labels),
+                f"children[{parent!r}]", "a list of strings")
+    masks = payload.get("masks", {})
+    require(isinstance(masks, dict), "masks", "an object")
     groundings: dict[str, list[tuple[Mask, float]]] = {}
-    for label, entries in payload.get("masks", {}).items():
+    for label, entries in masks.items():
+        require(isinstance(entries, list), f"masks[{label!r}]", "a list")
         groundings[label] = []
         for i, entry in enumerate(entries):
             where = f"{path}: masks[{label!r}][{i}]"
@@ -402,8 +418,11 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
                 raise ValidationError(f"{where}: {exc}") from exc
             groundings[label].append((mask, float(entry["confidence"])))
     limits_raw = payload.get("limits", {})
+    require(isinstance(limits_raw, dict), "limits", "an object")
     limits = PipelineLimits(
-        max_depth=int(limits_raw.get("max_depth", PipelineLimits.max_depth)),
-        max_children=int(limits_raw.get("max_children", PipelineLimits.max_children)),
+        max_depth=limits_raw.get("max_depth", PipelineLimits.max_depth),
+        max_children=limits_raw.get("max_children", PipelineLimits.max_children),
     )
+    require(_is_int(limits.max_depth), "limits['max_depth']", "an integer")
+    require(_is_int(limits.max_children), "limits['max_children']", "an integer")
     return canvas, ScriptedProposer(children), ScriptedGrounder(groundings), limits

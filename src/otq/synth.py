@@ -38,15 +38,11 @@ def synthetic_tree(image_id: str, rng: np.random.Generator, *,
                    width: int = 160, height: int = 120,
                    grids: Sequence[tuple[int, int]] = ((3, 4), (2, 2), (2, 1)),
                    level_p: Sequence[float] = (1.0, 1.0, 0.28),
-                   margin: int = 2, min_side: int = 3,
-                   vocab: Sequence[str] = DEFAULT_VOCAB) -> OpenTree:
+                   margin: int = 2, min_side: int = 3) -> OpenTree:
     """One random tree; ``grids``/``level_p`` control fanout per depth level."""
     canvas = ImageCanvas(image_id, width, height)
     nodes: list[InstanceNode] = []
     next_id = 1
-
-    def pick_label() -> str:
-        return vocab[int(rng.integers(0, len(vocab)))]
 
     def subdivide(r0: int, r1: int, c0: int, c1: int,
                   parent_id: int, level: int) -> None:
@@ -65,12 +61,11 @@ def synthetic_tree(image_id: str, rng: np.random.Generator, *,
             rc0, rc1 = cc0 + left, cc1 - right
             if rr1 - rr0 < min_side or rc1 - rc0 < min_side:
                 continue
-            pixels = np.zeros((height, width), dtype=bool)
-            pixels[rr0:rr1, rc0:rc1] = True
+            mask = Mask.from_rect(width, height, rr0, rc0, rr1 - rr0, rc1 - rc0)
             node_id = next_id
             next_id += 1
-            nodes.append(InstanceNode(node_id, pick_label(), Mask(pixels),
-                                      parent_id))
+            label = DEFAULT_VOCAB[int(rng.integers(0, len(DEFAULT_VOCAB)))]
+            nodes.append(InstanceNode(node_id, label, mask, parent_id))
             # Children live strictly inside the parent rectangle.
             subdivide(rr0 + 1, rr1 - 1, rc0 + 1, rc1 - 1, node_id, level + 1)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -116,6 +117,30 @@ class TestEvaluate:
         where = f"image '{doc['image_id']}' (pred {pred}:2, ref {corpus_path}:2)"
         assert err.startswith(f"otq: {where}: ")
         assert expected in err
+
+    def test_dead_worker_exits_2(self, corpus_path, capsys, monkeypatch):
+        import otq.metric
+        # The pool forks, so its workers inherit the patched global.
+        monkeypatch.setattr(otq.metric, "evaluate_image",
+                            lambda *args: os._exit(7))
+        code = main(["evaluate", "--pred", str(corpus_path),
+                     "--ref", str(corpus_path), "--jobs", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("otq: a worker process died: ")
+
+    @pytest.mark.parametrize("default", ["1.5", "-0.1"])
+    def test_table_default_outside_unit_interval_exits_3(self, corpus_path,
+                                                         tmp_path, capsys,
+                                                         default):
+        table = tmp_path / "sims.jsonl"
+        table.write_text(json.dumps({"a": "car", "b": "tree", "sim": 0.5}) + "\n")
+        code = main(["evaluate", "--pred", str(corpus_path),
+                     "--ref", str(corpus_path), "--label-sim", f"table:{table}",
+                     f"--table-default={default}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("otq: config error: ")
+        assert "outside [0, 1]" in err
 
     def test_bad_tau_exits_3(self, corpus_path):
         code = main(["evaluate", "--pred", str(corpus_path),
@@ -276,6 +301,29 @@ class TestPipelineCommand:
         path.write_text(json.dumps(script))
         assert main(["pipeline", "--script", str(path)]) == 1
         assert capsys.readouterr().err == f"otq: {path}: masks['blob'][1]: {problem}\n"
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"masks": []}, "masks: must be an object"),
+        ({"limits": {"max_depth": "x"}}, "limits['max_depth']: must be an integer"),
+        ({"limits": {"max_children": True}},
+         "limits['max_children']: must be an integer"),
+        ({"width": "4"}, "width: must be an integer"),
+        ({"children": {"": "blob"}}, "children['']: must be a list of strings"),
+        ("image_id width height", "script must be a JSON object"),
+    ], ids=["masks-list", "limit-string", "limit-bool", "width-string",
+            "children-string", "not-an-object"])
+    def test_bad_script_field_names_script_and_key(self, tmp_path, capsys,
+                                                   change, problem):
+        script = {
+            "image_id": "scene", "width": 4, "height": 4,
+            "children": {"": ["blob"]},
+            "masks": {"blob": [{"rle": "5 6 5", "confidence": 0.9}]},
+        }
+        script = {**script, **change} if isinstance(change, dict) else change
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(script))
+        assert main(["pipeline", "--script", str(path)]) == 1
+        assert capsys.readouterr().err == f"otq: {path}: {problem}\n"
 
     def test_missing_script_exits_2(self, tmp_path):
         assert main(["pipeline", "--script", str(tmp_path / "nope.json")]) == 2

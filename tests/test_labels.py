@@ -114,13 +114,16 @@ class TestSymmetryProperty:
 
 class TestSelector:
     def test_selectors(self, tmp_path):
-        assert protocol_from_spec("strict").kind == "strict"
-        assert protocol_from_spec("lq1").kind == "constant_one"
+        strict = protocol_from_spec("strict")
+        assert similarity(strict, "x", "x") == 1.0
+        assert similarity(strict, "x", "y") == 0.0
+        assert similarity(protocol_from_spec("lq1"), "x", "y") == 1.0
         path = tmp_path / "table.jsonl"
         path.write_text(json.dumps({"a": "x", "b": "y", "sim": 0.5}) + "\n")
         proto = protocol_from_spec(f"table:{path}")
-        assert proto.kind == "table"
         assert similarity(proto, "x", "y") == 0.5
+        with pytest.raises(SimilarityError, match="missing"):
+            similarity(proto, "x", "z")
 
     def test_unknown_selector(self):
         with pytest.raises(SimilarityError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from otq import (
     ValidationError,
@@ -52,6 +53,24 @@ class TestAssignment:
         assert max_weight_assignment(weights) == [(0, 0), (1, 1)]
         weights = np.array([[0.2, 0.2, 0.2]] * 3)
         assert max_weight_assignment(weights) == [(0, 0), (1, 1), (2, 2)]
+
+
+class TestQuantization:
+    """IoU is quantized to 12 decimals, so values that differ by less than
+    that tie exactly and resolve the same way on every platform."""
+
+    def test_sub_quantum_differences_tie(self):
+        weights = np.array([[0.5, 0.5 + 1e-14], [0.5 + 1e-14, 0.5]])
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        assert list(zip(rows, cols)) == [(0, 1), (1, 0)]
+        assert max_weight_assignment(weights) == [(0, 0), (1, 1)]
+
+    def test_reported_iou_has_twelve_decimals(self):
+        pred = make_tree([(1, "x", None, rect(8, 8, 0, 0, 4, 2))],
+                         width=8, height=8)
+        ref = make_tree([(5, "x", None, rect(8, 8, 0, 0, 2, 4))],
+                        width=8, height=8)
+        assert match_trees(pred, ref, 0.3).tp == [(1, 5, 0.333333333333)]
 
 
 class TestMatchTrees:
