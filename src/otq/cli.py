@@ -12,7 +12,7 @@ One binary with subcommands::
 Machine-readable JSON is the primary output; CSV and aligned text tables
 are available for evaluation reports.  Exit codes: 0 ok, 1 validation,
 2 I/O or a worker process that died, 3 configuration.  OTQ_JOBS sets the
-default worker count.
+default worker count (at least 1).
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("OTQ_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -76,10 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--label-sim", default="strict",
                         help="strict | lq1 | table:<path> (default strict)")
     p_eval.add_argument("--table-default", type=float, default=None,
-                        help="similarity for pairs missing from the table "
-                             "(default: reject unknown pairs)")
+                        help="similarity for pairs missing from a table: "
+                             "protocol (default: reject unknown pairs)")
     p_eval.add_argument("--aggregate", choices=("macro", "micro"), default="macro")
-    p_eval.add_argument("--jobs", type=int, default=_default_jobs())
+    p_eval.add_argument("--jobs", type=int, default=None,
+                        help="worker processes, >= 1 (default: $OTQ_JOBS or 1)")
     p_eval.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p_eval.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -119,6 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not 0.0 < args.tau <= 1.0:
         raise ConfigError(f"--tau must be in (0, 1], got {args.tau}")
+    if args.table_default is not None and not args.label_sim.startswith("table:"):
+        raise ConfigError("--table-default needs --label-sim table:<path>")
+    jobs = os.environ.get("OTQ_JOBS", "1") if args.jobs is None else args.jobs
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise ConfigError(f"OTQ_JOBS must be an integer, got {jobs!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"--jobs and OTQ_JOBS must be at least 1, got {jobs}")
     for path in (args.pred, args.ref):
         if not Path(path).exists():
             raise FileNotFoundError(path)
@@ -129,7 +131,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         # A bad selector is a configuration problem, not bad input data.
         raise ConfigError(str(exc)) from exc
     report = evaluate_corpus_files(args.pred, args.ref, proto, tau=args.tau,
-                                   jobs=args.jobs, aggregate=args.aggregate)
+                                   jobs=jobs, aggregate=args.aggregate)
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "csv":

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
+
+import numpy as np
 
 from .errors import PipelineError, RleError, SchemaError, ValidationError
 from .masks import Mask, containment, intersection_area, iou, mask_difference, union_masks
@@ -155,129 +158,90 @@ def merge_siblings(siblings: Sequence[Mask]) -> list[Mask]:
     is re-run on the merged unions until no pair exceeds the bound, so the
     output is guaranteed pairwise below it.
     """
+    # Imported here: at module level it would slow every ``otq`` start.
+    from scipy.sparse.csgraph import connected_components
+
     masks = list(siblings)
     while True:
         n = len(masks)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged_any = False
+        close = np.zeros((n, n), dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
                 inter = intersection_area(masks[i], masks[j])
-                if inter == 0:
-                    continue
-                smaller = min(masks[i].area, masks[j].area)
-                if inter / smaller > SIBLING_MERGE_OVERLAP:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-                        merged_any = True
-        if not merged_any:
+                if inter:  # keeps an empty mask's zero area out of the divisor
+                    smaller = min(masks[i].area, masks[j].area)
+                    close[i, j] = inter / smaller > SIBLING_MERGE_OVERLAP
+        if not close.any():
             return masks
-        groups: dict[int, list[Mask]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(masks[i])
-        masks = [union_masks(groups[root]) for root in sorted(groups)]
+        # Components are numbered by their smallest member, keeping order.
+        n_groups, group_of = connected_components(close, directed=False)
+        masks = [union_masks([m for m, g in zip(masks, group_of) if g == k])
+                 for k in range(n_groups)]
+
+
+@contextmanager
+def _blamed(what: str) -> Iterator[None]:
+    """Re-raise a proposer or grounder failure as a PipelineError."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"{what}: {exc}") from exc
 
 
 def decompose(canvas: ImageCanvas, proposer: Proposer, grounder: Grounder,
               limits: PipelineLimits = PipelineLimits()) -> SemanticTree:
     """Breadth-first semantic expansion from the root until exhaustion."""
     tree = SemanticTree(canvas=canvas, nodes={})
-    next_id = 1
-    queue: deque[int] = deque()
-
-    def expand(parent_sem_id: int, parent_mask: Mask | None,
-               path: tuple[str, ...], depth: int) -> list[int]:
-        nonlocal next_id
-        label = path[-1] if path else None
-        request = PipelineRequest(canvas=canvas, path=path, label=label,
+    paths: dict[int, tuple[str, ...]] = {ROOT_ID: ()}
+    queue: deque[int] = deque([ROOT_ID])
+    while queue:
+        sem_id = queue.popleft()
+        node = tree.nodes.get(sem_id)  # None at the root
+        if node is not None and node.depth >= limits.max_depth:
+            continue
+        path = paths[sem_id]
+        parent_mask = None if node is None else node.union_mask
+        request = PipelineRequest(canvas=canvas, path=path,
+                                  label=path[-1] if path else None,
                                   parent_mask=parent_mask,
                                   bbox=parent_mask.bbox if parent_mask else None)
-        try:
+        with _blamed(f"proposer failed at path {path!r}"):
             labels = list(proposer.propose(request))[:limits.max_children]
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(f"proposer failed at path {path!r}: {exc}") from exc
-        created: list[int] = []
-        for child_label in labels:
-            try:
-                proposal = grounder.ground(canvas, child_label)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(
-                    f"grounder failed for {child_label!r} at path {path!r}: "
-                    f"{exc}") from exc
+        depth = len(path) + 1
+        children: list[SemanticNode] = []
+        for label in labels:
+            with _blamed(f"grounder failed for {label!r} at path {path!r}"):
+                proposal = grounder.ground(canvas, label)
             proposal = filter_proposal(proposal, parent_mask, canvas)
-            if not proposal.masks:
-                continue
-            masks = merge_siblings(proposal.masks)
-            node = SemanticNode(sem_id=next_id, label=child_label,
-                                parent_id=parent_sem_id, masks=masks,
-                                depth=depth)
-            tree.nodes[next_id] = node
-            created.append(next_id)
-            next_id += 1
-        return created
-
-    def enqueue_residual(parent_sem_id: int, parent_mask: Mask,
-                         child_ids: list[int], depth: int) -> Mask | None:
-        nonlocal next_id
-        residual = parent_mask
-        for cid in child_ids:
-            residual = mask_difference(residual, tree.nodes[cid].union_mask)
+            if proposal.masks:
+                child = SemanticNode(len(tree.nodes) + 1, label, sem_id,
+                                     merge_siblings(proposal.masks), depth)
+                tree.nodes[child.sem_id] = child
+                children.append(child)
+        residual = parent_mask or Mask.full(canvas.width, canvas.height)
+        for child in children:
+            residual = mask_difference(residual, child.union_mask)
         if residual.area == 0:
-            return None
+            residual = None
         # A residual only earns a queue slot when the parent actually kept
         # children (otherwise it just restates the parent mask), and residuals
         # of residuals would recurse forever.
-        parent_is_residual = (parent_sem_id != ROOT_ID
-                              and tree.nodes[parent_sem_id].is_residual)
-        if child_ids and not parent_is_residual and depth <= limits.max_depth:
-            node = SemanticNode(sem_id=next_id, label=OTHERS_LABEL,
-                                parent_id=parent_sem_id, masks=[residual],
-                                depth=depth, is_residual=True)
-            tree.nodes[next_id] = node
-            queue.append(next_id)
-            next_id += 1
-        return residual
-
-    root_children = expand(ROOT_ID, None, (), depth=1)
-    for cid in root_children:
-        queue.append(cid)
-    tree.root_others = enqueue_residual(
-        ROOT_ID, Mask.full(canvas.width, canvas.height), root_children, depth=1)
-
-    while queue:
-        sem_id = queue.popleft()
-        node = tree.nodes[sem_id]
-        if node.depth >= limits.max_depth:
-            continue
-        path = _semantic_path(tree, sem_id)
-        union = node.union_mask
-        child_ids = expand(sem_id, union, path, depth=node.depth + 1)
-        for cid in child_ids:
-            queue.append(cid)
-        node.others_mask = enqueue_residual(sem_id, union, child_ids,
-                                            depth=node.depth + 1)
+        elif (children and (node is None or not node.is_residual)
+              and depth <= limits.max_depth):
+            others = SemanticNode(len(tree.nodes) + 1, OTHERS_LABEL, sem_id,
+                                  [residual], depth, is_residual=True)
+            tree.nodes[others.sem_id] = others
+            children.append(others)
+        for child in children:
+            paths[child.sem_id] = path + (child.label,)
+            queue.append(child.sem_id)
+        if node is None:
+            tree.root_others = residual
+        else:
+            node.others_mask = residual
     return tree
-
-
-def _semantic_path(tree: SemanticTree, sem_id: int) -> tuple[str, ...]:
-    labels: list[str] = []
-    while sem_id != ROOT_ID:
-        node = tree.nodes[sem_id]
-        labels.append(node.label)
-        sem_id = node.parent_id
-    return tuple(reversed(labels))
 
 
 def materialize_instances(semantic_tree: SemanticTree) -> OpenTree:
@@ -293,41 +257,27 @@ def materialize_instances(semantic_tree: SemanticTree) -> OpenTree:
     nodes: list[InstanceNode] = []
     # Instances (id, mask) of each materialized semantic node.
     members_of: dict[int, list[tuple[int, Mask]]] = {}
-    next_instance = 1
     has_children = {node.parent_id for node in semantic_tree.nodes.values()}
     for sem_id in sorted(semantic_tree.nodes):
         sem = semantic_tree.nodes[sem_id]
         if sem.is_residual and sem_id not in has_children:
             continue
-        if sem.parent_id == ROOT_ID:
-            candidates = None
-        else:
-            # Parents precede children in id order; a parent left out or
-            # without instances drops the whole subtree.
-            candidates = members_of.get(sem.parent_id)
-            if not candidates:
-                continue
+        # None for the root's children.  Parents precede children in id
+        # order; a parent left out or without instances drops the subtree.
+        candidates = members_of.get(sem.parent_id)
+        if sem.parent_id != ROOT_ID and not candidates:
+            continue
         members = members_of[sem_id] = []
         for mask in sem.masks:
-            if candidates is None:
-                parent_instance = ROOT_ID
-            else:
-                best: tuple[float, float, int] | None = None
-                parent_instance = None
-                for mid, pmask in candidates:
-                    cont = containment(mask, pmask)
-                    if cont <= 0.0:
-                        continue
-                    key = (cont, iou(pmask, mask), -mid)
-                    if best is None or key > best:
-                        best = key
-                        parent_instance = mid
-                if parent_instance is None:
+            parent_instance = ROOT_ID
+            if candidates is not None:
+                cont, _, neg_id = max((containment(mask, pmask), iou(pmask, mask), -mid)
+                                      for mid, pmask in candidates)
+                if cont <= 0.0:
                     continue  # no containment evidence anywhere: noise
-            nodes.append(InstanceNode(next_instance, sem.label, mask,
-                                      parent_instance))
-            members.append((next_instance, mask))
-            next_instance += 1
+                parent_instance = -neg_id
+            nodes.append(InstanceNode(len(nodes) + 1, sem.label, mask, parent_instance))
+            members.append((len(nodes), mask))
     return OpenTree(semantic_tree.canvas, nodes)
 
 
@@ -373,7 +323,8 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
          "limits": {"max_depth": int, "max_children": int}}   # optional
 
     where ``<path>`` is the '/'-joined label chain from the root ("" for the
-    root itself).
+    root itself).  Sides are at least 1, limits at least 0, and every mask
+    is non-empty.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -393,6 +344,7 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
     require(isinstance(payload["image_id"], str), "image_id", "a string")
     for key in ("width", "height"):
         require(_is_int(payload[key]), key, "an integer")
+        require(payload[key] >= 1, key, "at least 1")
     canvas = ImageCanvas(payload["image_id"], payload["width"], payload["height"])
     children = payload.get("children", {})
     require(isinstance(children, dict), "children", "an object")
@@ -409,13 +361,16 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
         for i, entry in enumerate(entries):
             where = f"{path}: masks[{label!r}][{i}]"
             if not (isinstance(entry, dict) and isinstance(entry.get("rle"), str)
-                    and isinstance(entry.get("confidence"), (int, float))):
+                    and isinstance(entry.get("confidence"), (int, float))
+                    and not isinstance(entry["confidence"], bool)):
                 raise SchemaError(
                     f"{where}: needs a string 'rle' and a numeric 'confidence'")
             try:
                 mask = Mask.from_rle(entry["rle"], canvas.width, canvas.height)
             except RleError as exc:
                 raise ValidationError(f"{where}: {exc}") from exc
+            if mask.area == 0:
+                raise SchemaError(f"{where}: empty mask")
             groundings[label].append((mask, float(entry["confidence"])))
     limits_raw = payload.get("limits", {})
     require(isinstance(limits_raw, dict), "limits", "an object")
@@ -423,6 +378,7 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
         max_depth=limits_raw.get("max_depth", PipelineLimits.max_depth),
         max_children=limits_raw.get("max_children", PipelineLimits.max_children),
     )
-    require(_is_int(limits.max_depth), "limits['max_depth']", "an integer")
-    require(_is_int(limits.max_children), "limits['max_children']", "an integer")
+    for key in ("max_depth", "max_children"):
+        require(_is_int(getattr(limits, key)), f"limits[{key!r}]", "an integer")
+        require(getattr(limits, key) >= 0, f"limits[{key!r}]", "at least 0")
     return canvas, ScriptedProposer(children), ScriptedGrounder(groundings), limits

@@ -40,37 +40,40 @@ def synthetic_tree(image_id: str, rng: np.random.Generator, *,
                    level_p: Sequence[float] = (1.0, 1.0, 0.28),
                    margin: int = 2, min_side: int = 3) -> OpenTree:
     """One random tree; ``grids``/``level_p`` control fanout per depth level."""
-    canvas = ImageCanvas(image_id, width, height)
     nodes: list[InstanceNode] = []
-    next_id = 1
+    _subdivide(nodes, rng, (width, height, grids, level_p, margin, min_side),
+               (0, height, 0, width), ROOT_ID, 0)
+    return OpenTree(ImageCanvas(image_id, width, height), nodes)
 
-    def subdivide(r0: int, r1: int, c0: int, c1: int,
-                  parent_id: int, level: int) -> None:
-        nonlocal next_id
-        if level >= len(grids):
-            return
-        if rng.random() >= level_p[level]:
-            return
-        n_rows, n_cols = grids[level]
-        for cr0, cr1, cc0, cc1 in _grid_cells(r0, r1, c0, c1, n_rows, n_cols):
-            top = int(rng.integers(0, margin + 1))
-            left = int(rng.integers(0, margin + 1))
-            bottom = int(rng.integers(0, margin + 1))
-            right = int(rng.integers(0, margin + 1))
-            rr0, rr1 = cr0 + top, cr1 - bottom
-            rc0, rc1 = cc0 + left, cc1 - right
-            if rr1 - rr0 < min_side or rc1 - rc0 < min_side:
-                continue
-            mask = Mask.from_rect(width, height, rr0, rc0, rr1 - rr0, rc1 - rc0)
-            node_id = next_id
-            next_id += 1
-            label = DEFAULT_VOCAB[int(rng.integers(0, len(DEFAULT_VOCAB)))]
-            nodes.append(InstanceNode(node_id, label, mask, parent_id))
-            # Children live strictly inside the parent rectangle.
-            subdivide(rr0 + 1, rr1 - 1, rc0 + 1, rc1 - 1, node_id, level + 1)
 
-    subdivide(0, height, 0, width, ROOT_ID, 0)
-    return OpenTree(canvas, nodes)
+def _subdivide(nodes: list[InstanceNode], rng: np.random.Generator,
+               settings: tuple, box: tuple[int, int, int, int],
+               parent_id: int, level: int) -> None:
+    """Append the nodes inside ``box`` (rows r0:r1, cols c0:c1) to ``nodes``.
+
+    ``settings`` is ``(width, height, grids, level_p, margin, min_side)`` of
+    :func:`synthetic_tree`.  A recursive closure would be a reference cycle
+    that keeps a dropped tree's masks alive until the cyclic collector runs.
+    """
+    width, height, grids, level_p, margin, min_side = settings
+    if level >= len(grids) or rng.random() >= level_p[level]:
+        return
+    for cr0, cr1, cc0, cc1 in _grid_cells(*box, *grids[level]):
+        top = int(rng.integers(0, margin + 1))
+        left = int(rng.integers(0, margin + 1))
+        bottom = int(rng.integers(0, margin + 1))
+        right = int(rng.integers(0, margin + 1))
+        rr0, rr1 = cr0 + top, cr1 - bottom
+        rc0, rc1 = cc0 + left, cc1 - right
+        if rr1 - rr0 < min_side or rc1 - rc0 < min_side:
+            continue
+        mask = Mask.from_rect(width, height, rr0, rc0, rr1 - rr0, rc1 - rc0)
+        node_id = len(nodes) + 1
+        label = DEFAULT_VOCAB[int(rng.integers(0, len(DEFAULT_VOCAB)))]
+        nodes.append(InstanceNode(node_id, label, mask, parent_id))
+        # Children live strictly inside the parent rectangle.
+        _subdivide(nodes, rng, settings, (rr0 + 1, rr1 - 1, rc0 + 1, rc1 - 1),
+                   node_id, level + 1)
 
 
 def synthetic_corpus(n_images: int, seed: int = 0, *, prefix: str = "img",

@@ -142,6 +142,36 @@ class TestEvaluate:
         assert err.startswith("otq: config error: ")
         assert "outside [0, 1]" in err
 
+    @pytest.mark.parametrize("options, env_jobs", [
+        (["--label-sim", "strict", "--table-default", "5"], None),
+        (["--label-sim", "lq1", "--table-default", "0.5"], None),
+        (["--jobs", "0"], None),
+        (["--jobs", "-4"], None),
+        ([], "abc"),
+        ([], "0"),
+    ], ids=["table-default-strict", "table-default-lq1", "jobs-zero",
+            "jobs-negative", "env-jobs-text", "env-jobs-zero"])
+    def test_ignored_setting_exits_3(self, corpus_path, capsys, monkeypatch,
+                                     options, env_jobs):
+        if env_jobs is not None:
+            monkeypatch.setenv("OTQ_JOBS", env_jobs)
+        code = main(["evaluate", "--pred", str(corpus_path),
+                     "--ref", str(corpus_path)] + options)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("otq: config error: ")
+        assert captured.out == ""
+
+    def test_env_jobs_sets_worker_count(self, corpus_path, tmp_path,
+                                        monkeypatch):
+        serial = tmp_path / "serial.json"
+        pooled = tmp_path / "pooled.json"
+        argv = ["evaluate", "--pred", str(corpus_path), "--ref", str(corpus_path)]
+        assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
+        monkeypatch.setenv("OTQ_JOBS", "2")
+        assert main(argv + ["--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_bad_tau_exits_3(self, corpus_path):
         code = main(["evaluate", "--pred", str(corpus_path),
                      "--ref", str(corpus_path), "--tau", "1.5"])
@@ -289,7 +319,10 @@ class TestPipelineCommand:
         ({"rle": "0 16"}, "needs a string 'rle' and a numeric 'confidence'"),
         ({"confidence": 0.9}, "needs a string 'rle' and a numeric 'confidence'"),
         ({"rle": "15", "confidence": 0.9}, "RLE covers 15 pixels, canvas has 16"),
-    ], ids=["no-confidence", "no-rle", "bad-rle"])
+        ({"rle": "5 6 5", "confidence": True},
+         "needs a string 'rle' and a numeric 'confidence'"),
+        ({"rle": "16", "confidence": 0.9}, "empty mask"),
+    ], ids=["no-confidence", "no-rle", "bad-rle", "bool-confidence", "empty-mask"])
     def test_bad_mask_entry_names_script_label_and_index(self, tmp_path, capsys,
                                                          entry, problem):
         script = {
@@ -308,9 +341,14 @@ class TestPipelineCommand:
         ({"limits": {"max_children": True}},
          "limits['max_children']: must be an integer"),
         ({"width": "4"}, "width: must be an integer"),
+        ({"width": 0}, "width: must be at least 1"),
+        ({"limits": {"max_children": -1}},
+         "limits['max_children']: must be at least 0"),
+        ({"limits": {"max_depth": -1}}, "limits['max_depth']: must be at least 0"),
         ({"children": {"": "blob"}}, "children['']: must be a list of strings"),
         ("image_id width height", "script must be a JSON object"),
     ], ids=["masks-list", "limit-string", "limit-bool", "width-string",
+            "width-zero", "children-negative", "depth-negative",
             "children-string", "not-an-object"])
     def test_bad_script_field_names_script_and_key(self, tmp_path, capsys,
                                                    change, problem):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from otq import (
     ImageCanvas,
     Mask,
+    PipelineError,
     PipelineLimits,
     Proposal,
     ROOT_ID,
@@ -16,6 +21,7 @@ from otq import (
     confidence_threshold,
     decompose,
     filter_proposal,
+    load_scene_script,
     materialize_instances,
     merge_siblings,
     run_pipeline,
@@ -285,6 +291,58 @@ class TestRunPipeline:
                 return ["car"] if request.path == () else []
 
         _, grounder, _ = scene_mocks()
-        from otq import PipelineError
         with pytest.raises(PipelineError, match="car"):
             run_pipeline(CANVAS, Exploding(), grounder)
+
+    def test_grounder_failure_names_label_and_path(self):
+        class Exploding:
+            def ground(self, canvas, label):
+                raise RuntimeError("no model")
+
+        proposer, _, _ = scene_mocks()
+        expected = "grounder failed for 'ground' at path (): no model"
+        with pytest.raises(PipelineError, match=re.escape(expected)) as info:
+            run_pipeline(CANVAS, proposer, Exploding())
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_pipeline_error_from_proposer_is_not_wrapped(self):
+        own = PipelineError("proposer gave up")
+
+        class GivingUp:
+            def propose(self, request):
+                raise own
+
+        _, grounder, _ = scene_mocks()
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(CANVAS, GivingUp(), grounder)
+        assert info.value is own
+
+
+KITCHEN = Path(__file__).resolve().parents[1] / "demos" / "fixtures" / "scene.json"
+
+
+class TestKitchenScene:
+    """The demo 05 scene, pinned node by node."""
+
+    def test_semantic_tree(self):
+        semantic = decompose(*load_scene_script(KITCHEN))
+        rows = [(n.sem_id, n.label, n.parent_id, n.depth, n.is_residual,
+                 len(n.masks), n.union_mask.area,
+                 None if n.others_mask is None else n.others_mask.area)
+                for n in semantic.nodes.values()]
+        assert rows == [
+            (1, "counter", ROOT_ID, 1, False, 1, 480, 480),
+            (2, "cabinet", ROOT_ID, 1, False, 2, 512, 272),
+            (3, "others", ROOT_ID, 1, True, 1, 544, 544),
+            (4, "door", 2, 2, False, 2, 240, 234),
+            (5, "others", 2, 2, True, 1, 272, 272),
+            (6, "handle", 4, 3, False, 2, 6, 6),
+            (7, "others", 4, 3, True, 1, 234, 234),
+        ]
+        assert semantic.root_others.area == 544
+
+    def test_instance_tree_line(self):
+        line = serialize_tree(run_pipeline(*load_scene_script(KITCHEN)))
+        assert len(line) == 1023
+        assert hashlib.sha256(line.encode()).hexdigest() == (
+            "e7d15f481c3fbb91baaea2b37107399c45b092887510ddbf107bae9037e3ed7a")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +158,16 @@ class TestStructure:
         tree = synthetic_tree("t", rng)
         for nid, node in tree.nodes.items():
             assert tree.depth(nid) == tree.depth(node.parent_id) + 1
+
+    def test_dropped_synthetic_tree_is_freed_without_gc(self):
+        tree = synthetic_tree("t", np.random.default_rng(7))
+        node = weakref.ref(tree.nodes[1])
+        gc.disable()
+        try:
+            del tree
+            assert node() is None
+        finally:
+            gc.enable()
 
     def test_edge_count_equals_node_count(self, two_branch_tree):
         edges = sum(len(kids) for kids in two_branch_tree.children.values())
