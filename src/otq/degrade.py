@@ -101,17 +101,19 @@ def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
     selected = sample_without_replacement(rng, all_ids, k)
 
     parent_of = {nid: tree.nodes[nid].parent_id for nid in all_ids}
+    children_of: dict[int, set[int]] = {nid: set() for nid in [ROOT_ID, *all_ids]}
+    for nid, parent in parent_of.items():
+        children_of[parent].add(nid)
 
-    # Reads the rewired parent_of: the original tree's descendants allow cycles.
+    # Reads the rewired tree (children_of changes with parent_of): the
+    # original tree's descendants allow cycles.
     def descendants(root: int) -> set[int]:
         out: set[int] = set()
         frontier = [root]
         while frontier:
-            cur = frontier.pop()
-            for nid, parent in parent_of.items():
-                if parent == cur and nid not in out:
-                    out.add(nid)
-                    frontier.append(nid)
+            kids = children_of[frontier.pop()] - out
+            out |= kids
+            frontier.extend(kids)
         return out
 
     for nid in selected:
@@ -123,7 +125,10 @@ def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
             candidates.remove(ROOT_ID)
         if not candidates:
             continue  # no alternative parent exists
-        parent_of[nid] = choose(rng, candidates)
+        new_parent = choose(rng, candidates)
+        children_of[parent_of[nid]].remove(nid)
+        children_of[new_parent].add(nid)
+        parent_of[nid] = new_parent
 
     nodes = [InstanceNode(n.node_id, n.label, n.mask, parent_of[n.node_id])
              for n in tree.nodes.values()]

@@ -1,7 +1,10 @@
 """Binary instance masks: RLE codec, overlap geometry, morphology, size bins.
 
-Masks are dense boolean arrays of shape (height, width) wrapped in a small
-immutable-by-convention class that caches area and bounding box.  The wire
+A mask stores its canvas shape, its tight bounding box and a read-only
+boolean window of the bounding box's size, so its memory scales with the
+object, not with the canvas.  Decoding, encoding, area, overlap, union and
+difference work on windows and never build a full-canvas array; the same
+technique underlies the RLE-domain geometry of the COCO mask API.  The wire
 format is uncompressed COCO-style RLE: pixels are read in column-major order
 and encoded as space-separated run lengths, with the first run counting
 zeros (possibly 0).  Erosion and dilation give the result of iterated 3x3
@@ -23,6 +26,12 @@ _XS_UPPER = 10**2
 _S_UPPER = 32**2
 _M_UPPER = 96**2
 
+Box = tuple[int, int, int, int]
+
+# The window of every empty mask.
+_NO_PIXELS = np.zeros((0, 0), dtype=bool)
+_NO_PIXELS.setflags(write=False)
+
 
 class SizeBin(enum.Enum):
     XS = "XS"
@@ -32,74 +41,94 @@ class SizeBin(enum.Enum):
 
 
 class Mask:
-    """A binary mask on a fixed canvas.
+    """A binary mask on a fixed ``height`` x ``width`` canvas.
 
-    Do not mutate ``pixels`` after construction; the array is marked
-    read-only and derived quantities (area, bbox) are cached.
+    ``bbox`` is the tight bounding box ``(row0, row1, col0, col1)``,
+    half-open, or None for an empty mask.  ``window`` holds the pixels inside
+    ``bbox`` as a C-contiguous read-only array (shape (0, 0) when empty).
+    ``pixels`` builds the full-canvas array on demand; it is meant for tests,
+    oracles and dilation, since its size is the canvas's.  Do not mutate a
+    mask after construction.
     """
 
-    __slots__ = ("pixels", "_area", "_bbox")
+    __slots__ = ("height", "width", "bbox", "window", "_area")
 
     def __init__(self, pixels: np.ndarray) -> None:
-        arr = np.ascontiguousarray(pixels, dtype=bool)
+        """Mask of a full-canvas (height, width) boolean array."""
+        arr = np.asarray(pixels, dtype=bool)
         if arr.ndim != 2:
             raise MaskError(f"mask must be 2-D, got shape {arr.shape}")
-        arr.setflags(write=False)
-        self.pixels = arr
-        self._area: int | None = None
-        self._bbox: tuple[int, int, int, int] | None | bool = False
+        self._set(*arr.shape, *_tight(arr, 0, 0))
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def _set(self, height: int, width: int, bbox: Box | None,
+             window: np.ndarray, area: int | None = None) -> None:
+        window.setflags(write=False)
+        self.height, self.width = height, width
+        self.bbox, self.window, self._area = bbox, window, area
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+    @classmethod
+    def _of(cls, height: int, width: int, bbox: Box | None,
+            window: np.ndarray, area: int | None = None) -> "Mask":
+        """Mask of a window already cropped to the tight ``bbox``."""
+        mask = cls.__new__(cls)
+        mask._set(height, width, bbox, window, area)
+        return mask
+
+    @classmethod
+    def _placed(cls, height: int, width: int, row0: int, col0: int,
+                arr: np.ndarray) -> "Mask":
+        """Mask whose pixels are ``arr`` with its corner at (row0, col0) and
+        False elsewhere; the window is trimmed to the tight bbox."""
+        return cls._of(height, width, *_tight(arr, row0, col0))
 
     @property
     def area(self) -> int:
         if self._area is None:
-            self._area = int(np.count_nonzero(self.pixels))
+            self._area = int(np.count_nonzero(self.window))
         return self._area
 
     @property
-    def bbox(self) -> tuple[int, int, int, int] | None:
-        """Tight bounding box (row0, row1, col0, col1), half-open; None if empty."""
-        if self._bbox is False:
-            rows = np.flatnonzero(self.pixels.any(axis=1))
-            if rows.size == 0:
-                self._bbox = None
-            else:
-                cols = np.flatnonzero(self.pixels.any(axis=0))
-                self._bbox = (int(rows[0]), int(rows[-1]) + 1,
-                              int(cols[0]), int(cols[-1]) + 1)
-        return self._bbox
+    def pixels(self) -> np.ndarray:
+        """Full-canvas read-only (height, width) array, built on each call."""
+        out = np.zeros((self.height, self.width), dtype=bool)
+        if self.bbox is not None:
+            r0, r1, c0, c1 = self.bbox
+            out[r0:r1, c0:c1] = self.window
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def from_rle(cls, rle: str, width: int, height: int) -> "Mask":
-        return cls(rle_decode(rle, width, height))
+        return rle_decode(rle, width, height)
 
     def to_rle(self) -> str:
-        return rle_encode(self.pixels)
+        return rle_encode(self)
 
     @classmethod
     def from_rect(cls, width: int, height: int, row: int, col: int,
                   n_rows: int, n_cols: int) -> "Mask":
-        """Solid axis-aligned rectangle; handy for fixtures and demos."""
-        pixels = np.zeros((height, width), dtype=bool)
-        pixels[row:row + n_rows, col:col + n_cols] = True
-        return cls(pixels)
+        """Solid axis-aligned rectangle, clipped at the canvas's far edges;
+        handy for fixtures and demos."""
+        if row < 0 or col < 0:
+            raise MaskError(f"rectangle offset must be non-negative, got ({row}, {col})")
+        if n_rows < 1 or n_cols < 1:
+            raise MaskError(f"rectangle size must be positive, got {n_rows}x{n_cols}")
+        r1, c1 = min(row + n_rows, height), min(col + n_cols, width)
+        if row >= r1 or col >= c1:
+            return cls._of(height, width, None, _NO_PIXELS, 0)
+        return cls._of(height, width, (row, r1, col, c1),
+                       np.ones((r1 - row, c1 - col), dtype=bool))
 
     @classmethod
     def full(cls, width: int, height: int) -> "Mask":
-        return cls(np.ones((height, width), dtype=bool))
+        return cls.from_rect(width, height, 0, 0, height, width)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mask):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels))
+        return (self.height, self.width, self.bbox) == (
+            other.height, other.width, other.bbox) and bool(
+            np.array_equal(self.window, other.window))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -107,20 +136,51 @@ class Mask:
         return f"Mask({self.width}x{self.height}, area={self.area})"
 
 
-def rle_encode(pixels: np.ndarray) -> str:
-    """Encode a boolean (height, width) array as canonical uncompressed RLE."""
-    flat = np.ascontiguousarray(pixels, dtype=bool).ravel(order="F")
-    flat8 = flat.view(np.int8)
-    change = np.flatnonzero(flat8[1:] != flat8[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat8.size]))
-    runs = np.diff(bounds)
-    if flat[0]:
-        runs = np.concatenate(([0], runs))
-    return " ".join(str(int(r)) for r in runs)
+def _tight(arr: np.ndarray, row0: int, col0: int) -> tuple[Box | None, np.ndarray]:
+    """Canvas bbox of the True pixels of ``arr`` (placed at row0, col0) and a
+    copy of ``arr`` cropped to it."""
+    rows = np.flatnonzero(arr.any(axis=1))
+    if rows.size == 0:
+        return None, _NO_PIXELS
+    cols = np.flatnonzero(arr.any(axis=0))
+    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return ((row0 + r0, row0 + r1, col0 + c0, col0 + c1),
+            np.array(arr[r0:r1, c0:c1], dtype=bool, order="C"))
 
 
-def rle_decode(rle: str, width: int, height: int) -> np.ndarray:
-    """Decode canonical uncompressed RLE into a boolean (height, width) array."""
+def rle_encode(mask: Mask) -> str:
+    """Encode a mask as canonical uncompressed RLE over its canvas."""
+    size = mask.height * mask.width
+    if mask.bbox is None:
+        return str(size)
+    r0, _, c0, _ = mask.bbox
+    n_rows, n_cols = mask.window.shape
+    # The window's columns in scan order, each between two False pixels, so
+    # that every run boundary is an edge inside one column.
+    scan = np.zeros((n_cols, n_rows + 2), dtype=np.int8)
+    scan[:, 1:-1] = mask.window.T
+    flat = scan.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    col, row = np.divmod(edges, n_rows + 2)
+    bounds: list[int] = []
+    for b in ((col + c0) * mask.height + row + (r0 - 1)).tolist():
+        # A run that ends at the canvas's bottom row and resumes at the top
+        # of the next column is one run.
+        if bounds and bounds[-1] == b:
+            bounds.pop()
+        else:
+            bounds.append(b)
+    runs = [b - a for a, b in zip([0, *bounds], [*bounds, size])]
+    if runs[-1] == 0:
+        runs.pop()
+    return " ".join(map(str, runs))
+
+
+def rle_decode(rle: str, width: int, height: int) -> Mask:
+    """Decode canonical uncompressed RLE into a mask on a (height, width)
+    canvas, filling only the columns its foreground runs touch."""
+    if width < 0 or height < 0:
+        raise RleError(f"canvas size must not be negative, got {width}x{height}")
     tokens = rle.split()
     if not tokens:
         raise RleError("empty RLE string")
@@ -136,29 +196,50 @@ def rle_decode(rle: str, width: int, height: int) -> np.ndarray:
     if total != width * height:
         raise RleError(
             f"RLE covers {total} pixels, canvas has {width * height}")
-    values = (np.arange(len(runs)) % 2).astype(bool)
-    flat = np.repeat(values, runs)
-    return flat.reshape((height, width), order="F")
+    if len(runs) < 2:
+        return Mask._of(height, width, None, _NO_PIXELS, 0)
+    # Runs alternate background and foreground.  Keep those up to the last
+    # foreground run, re-based to start at the first touched column and
+    # padded to the end of the last one.
+    span = runs[:len(runs) // 2 * 2]
+    stop = sum(span)
+    col0, col1 = runs[0] // height, (stop - 1) // height + 1
+    span[0] -= col0 * height
+    span.append(col1 * height - stop)
+    columns = np.repeat(np.arange(len(span)) % 2 == 1, span).reshape(col1 - col0, height)
+    rows = np.flatnonzero(columns.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    return Mask._of(height, width, (r0, r1, col0, col1),
+                    np.array(columns[:, r0:r1].T, order="C"), sum(span[1::2]))
 
 
 def _require_same_canvas(a: Mask, b: Mask) -> None:
-    if a.pixels.shape != b.pixels.shape:
+    if (a.height, a.width) != (b.height, b.width):
         raise MaskError(
             f"mask dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
+
+
+def _overlap(a: Box | None, b: Box | None) -> Box | None:
+    if a is None or b is None:
+        return None
+    r0, r1 = max(a[0], b[0]), min(a[1], b[1])
+    c0, c1 = max(a[2], b[2]), min(a[3], b[3])
+    return (r0, r1, c0, c1) if r0 < r1 and c0 < c1 else None
+
+
+def _within(m: Mask, box: Box) -> np.ndarray:
+    """The part of ``m``'s window inside the canvas box ``box``."""
+    r0, _, c0, _ = m.bbox
+    return m.window[box[0] - r0:box[1] - r0, box[2] - c0:box[3] - c0]
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
     """Pixel count of a AND b, computed on the bbox overlap window only."""
     _require_same_canvas(a, b)
-    ba, bb = a.bbox, b.bbox
-    if ba is None or bb is None:
+    box = _overlap(a.bbox, b.bbox)
+    if box is None:
         return 0
-    r0, r1 = max(ba[0], bb[0]), min(ba[1], bb[1])
-    c0, c1 = max(ba[2], bb[2]), min(ba[3], bb[3])
-    if r0 >= r1 or c0 >= c1:
-        return 0
-    return int(np.count_nonzero(a.pixels[r0:r1, c0:c1]
-                                & b.pixels[r0:r1, c0:c1]))
+    return int(np.count_nonzero(_within(a, box) & _within(b, box)))
 
 
 def iou(a: Mask, b: Mask) -> float:
@@ -185,20 +266,35 @@ def containment(child: Mask, parent: Mask) -> float:
 
 
 def union_masks(masks: Sequence[Mask]) -> Mask:
-    """Pixel-wise union of one or more masks on a shared canvas."""
+    """Pixel-wise union of one or more masks on a shared canvas, built over
+    the union of their bboxes."""
     if not masks:
         raise MaskError("union of an empty mask list")
-    acc = masks[0].pixels.copy()
+    first = masks[0]
     for m in masks[1:]:
-        _require_same_canvas(masks[0], m)
-        acc |= m.pixels
-    return Mask(acc)
+        _require_same_canvas(first, m)
+    boxes = [m.bbox for m in masks if m.bbox is not None]
+    if not boxes:
+        return first
+    r0, c0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
+    acc = np.zeros((max(b[1] for b in boxes) - r0, max(b[3] for b in boxes) - c0),
+                   dtype=bool)
+    for m in masks:
+        if m.bbox is not None:
+            acc[m.bbox[0] - r0:m.bbox[1] - r0, m.bbox[2] - c0:m.bbox[3] - c0] |= m.window
+    return Mask._placed(first.height, first.width, r0, c0, acc)
 
 
 def mask_difference(a: Mask, b: Mask) -> Mask:
-    """Pixels of a not covered by b."""
+    """Pixels of a not covered by b, computed over a's bbox."""
     _require_same_canvas(a, b)
-    return Mask(a.pixels & ~b.pixels)
+    box = _overlap(a.bbox, b.bbox)
+    if box is None:
+        return a
+    out = a.window.copy()
+    r0, _, c0, _ = a.bbox
+    out[box[0] - r0:box[1] - r0, box[2] - c0:box[3] - c0] &= ~_within(b, box)
+    return Mask._placed(a.height, a.width, r0, c0, out)
 
 
 def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
@@ -207,9 +303,13 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
     after every k off one chessboard distance transform."""
     if grow:  # k dilations cover the pixels within k of the mask
         dist = ndimage.distance_transform_cdt(~m.pixels, metric="chessboard")
+        row0 = col0 = 0
     else:  # k erosions keep the pixels farther than k from off-mask or off-canvas
-        padded = np.pad(m.pixels, 1)
+        # Off-window pixels are off-mask, so a one-pixel pad holds the
+        # nearest of them to every window pixel.
+        padded = np.pad(m.window, 1)
         dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
+        row0, col0 = m.bbox[0], m.bbox[2]
     within = np.cumsum(np.bincount(dist.ravel()))
     areas = within if grow else dist.size - within
     # Areas are monotone in k, so the counts short of the target are a prefix;
@@ -218,7 +318,9 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
     k = min(int(np.count_nonzero(short)), areas.size - 1)
     if k and abs(areas[k] - target) > abs(areas[k - 1] - target):
         k -= 1
-    return Mask(dist <= k if grow else dist > k) if k else m
+    if not k:
+        return m
+    return Mask._placed(m.height, m.width, row0, col0, dist <= k if grow else dist > k)
 
 
 def erode(m: Mask, target_keep_ratio: float) -> Mask:
@@ -241,6 +343,7 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
 
     Stops at the step bracketing the target area; ties go to the grown side.
     A mask that cannot grow further (already canvas-maximal) is returned as is.
+    The distance transform runs over the full canvas.
     """
     if target_grow_to_ratio < 1.0:
         raise MaskError(

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: assignments by exhaustive
 enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
 intersection, skeletons by a direct reading of the climbing rule on full
-mask arrays, morphology by one 3x3 step at a time.  Nothing imports the
-modules under test beyond data types.
+mask arrays, the RLE codec and mask overlaps on full-canvas arrays,
+morphology by one 3x3 step at a time.  Nothing imports the modules under
+test beyond data types.
 """
 
 from __future__ import annotations
@@ -179,3 +180,44 @@ def iterated_dilate(pixels: np.ndarray, grow_ratio: float) -> np.ndarray:
         if np.count_nonzero(nxt) >= target:
             return _closer_step(prev, nxt, target)
         prev = nxt
+
+
+def dense_rle_encode(pixels: np.ndarray) -> str:
+    """Canonical uncompressed RLE of a full-canvas (height, width) array."""
+    flat = np.ascontiguousarray(pixels, dtype=bool).ravel(order="F")
+    flat8 = flat.view(np.int8)
+    change = np.flatnonzero(flat8[1:] != flat8[:-1]) + 1
+    bounds = np.concatenate(([0], change, [flat8.size]))
+    runs = np.diff(bounds)
+    if flat[0]:
+        runs = np.concatenate(([0], runs))
+    return " ".join(str(int(r)) for r in runs)
+
+
+def dense_rle_decode(rle: str, width: int, height: int) -> np.ndarray:
+    """Full-canvas (height, width) array of a valid canonical RLE string."""
+    runs = [int(t) for t in rle.split()]
+    values = (np.arange(len(runs)) % 2).astype(bool)
+    return np.repeat(values, runs).reshape((height, width), order="F")
+
+
+def dense_bbox(pixels: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Tight half-open (row0, row1, col0, col1) of the set pixels, or None."""
+    rows = np.flatnonzero(pixels.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(pixels.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def dense_intersection_area(a: np.ndarray, b: np.ndarray) -> int:
+    return int(np.count_nonzero(a & b))
+
+
+def dense_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Intersection over union; two empty masks give 0."""
+    return _pixel_iou(a, b)
+
+
+def dense_containment(child: np.ndarray, parent: np.ndarray) -> float:
+    return dense_intersection_area(child, parent) / int(np.count_nonzero(child))

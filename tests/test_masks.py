@@ -17,35 +17,46 @@ from otq import (
     erode,
     intersection_area,
     iou,
+    mask_difference,
     rle_decode,
     rle_encode,
     size_bin,
+    union_masks,
 )
 
 from conftest import rect
-from oracles import iterated_dilate, iterated_erode
+from oracles import (
+    dense_bbox,
+    dense_containment,
+    dense_intersection_area,
+    dense_iou,
+    dense_rle_decode,
+    dense_rle_encode,
+    iterated_dilate,
+    iterated_erode,
+)
 
 
 class TestRle:
     def test_all_zeros(self):
         arr = np.zeros((3, 4), dtype=bool)
-        assert rle_encode(arr) == "12"
-        assert np.array_equal(rle_decode("12", 4, 3), arr)
+        assert rle_encode(Mask(arr)) == "12"
+        assert np.array_equal(rle_decode("12", 4, 3).pixels, arr)
 
     def test_all_ones(self):
         arr = np.ones((3, 4), dtype=bool)
-        assert rle_encode(arr) == "0 12"
-        assert np.array_equal(rle_decode("0 12", 4, 3), arr)
+        assert rle_encode(Mask(arr)) == "0 12"
+        assert np.array_equal(rle_decode("0 12", 4, 3).pixels, arr)
 
     def test_column_major_order(self):
         # Only the top-left pixel set: first run of zeros has length 0,
         # then one 1, then the rest of the flattened column-major array.
         arr = np.zeros((3, 4), dtype=bool)
         arr[0, 0] = True
-        assert rle_encode(arr) == "0 1 11"
+        assert rle_encode(Mask(arr)) == "0 1 11"
         arr2 = np.zeros((3, 4), dtype=bool)
         arr2[0, 1] = True  # second column -> offset height=3
-        assert rle_encode(arr2) == "3 1 8"
+        assert rle_encode(Mask(arr2)) == "3 1 8"
 
     def test_roundtrip_random_patterns(self):
         rng = np.random.default_rng(42)
@@ -53,14 +64,14 @@ class TestRle:
             h = int(rng.integers(1, 12))
             w = int(rng.integers(1, 12))
             arr = rng.random((h, w)) < rng.random()
-            out = rle_decode(rle_encode(arr), w, h)
-            assert np.array_equal(out, arr)
+            out = rle_decode(rle_encode(Mask(arr)), w, h)
+            assert np.array_equal(out.pixels, arr)
 
     def test_encode_of_decode_is_identity_on_canonical(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             arr = rng.random((7, 9)) < 0.4
-            canonical = rle_encode(arr)
+            canonical = rle_encode(Mask(arr))
             assert rle_encode(rle_decode(canonical, 9, 7)) == canonical
 
     def test_rejects_wrong_total(self):
@@ -70,6 +81,11 @@ class TestRle:
     def test_rejects_zero_interior_run(self):
         with pytest.raises(RleError):
             rle_decode("3 0 9", 4, 3)
+
+    def test_rejects_negative_canvas(self):
+        # The product of two negative sides matches the run total.
+        with pytest.raises(RleError, match="must not be negative"):
+            rle_decode("0 6", -2, -3)
 
     def test_rejects_garbage(self):
         with pytest.raises(RleError):
@@ -193,19 +209,50 @@ class TestMorphology:
             assert not np.any(m.pixels & ~out.pixels)
 
 
+# Canvases from 1x1 up, with 1xN and Nx1 drawn on purpose.
+canvases = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 14)),
+    st.tuples(st.integers(1, 14), st.just(1)),
+    st.tuples(st.integers(1, 14), st.integers(1, 14)),
+)
+
+
 @st.composite
-def mask_pixels(draw):
-    """Nonempty masks on canvases from 1x1 up, 1xN and Nx1 included: random
-    pixels (often touching the border), a full canvas or a single pixel."""
-    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
-    kind = draw(st.sampled_from(("random", "full", "pixel")))
+def pixels_on(draw, height, width, nonempty=False):
+    """Random pixels, a full canvas, a single pixel, a mask touching all
+    four canvas edges, a rectangle or (unless ``nonempty``) an empty mask."""
+    kinds = ["random", "full", "pixel", "edges", "rect"] + ([] if nonempty else ["empty"])
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         pixels = draw(hnp.arrays(bool, (height, width)))
-        assume(pixels.any())
-    else:
-        pixels = np.full((height, width), kind == "full")
+        assume(pixels.any() or not nonempty)
+        return pixels
+    pixels = np.full((height, width), kind == "full")
+    if kind in ("full", "pixel"):
         pixels[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    elif kind == "edges":
+        pixels[0, draw(st.integers(0, width - 1))] = True
+        pixels[-1, draw(st.integers(0, width - 1))] = True
+        pixels[draw(st.integers(0, height - 1)), 0] = True
+        pixels[draw(st.integers(0, height - 1)), -1] = True
+    elif kind == "rect":
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        pixels[r0:draw(st.integers(r0 + 1, height)), c0:draw(st.integers(c0 + 1, width))] = True
     return pixels
+
+
+@st.composite
+def mask_pixels(draw):
+    """One nonempty mask on a drawn canvas."""
+    height, width = draw(canvases)
+    return draw(pixels_on(height, width, nonempty=True))
+
+
+@st.composite
+def mask_pixel_sets(draw, n):
+    """``n`` masks, empty ones included, on one drawn canvas."""
+    height, width = draw(canvases)
+    return [draw(pixels_on(height, width)) for _ in range(n)]
 
 
 class TestMorphologyMatchesIteratedSteps:
@@ -240,6 +287,75 @@ class TestMorphologyMatchesIteratedSteps:
             out, expected = erode(Mask(pixels), ratio), iterated_erode(pixels, ratio)
         assert out.area == after
         assert np.array_equal(out.pixels, expected)
+
+
+class TestWindowsMatchDenseArrays:
+    """Every windowed operation against the full-canvas arrays it replaces."""
+
+    @given(mask_pixel_sets(1))
+    def test_window_holds_the_pixels(self, arrays):
+        (arr,) = arrays
+        m = Mask(arr)
+        assert np.array_equal(m.pixels, arr)
+        assert m.bbox == dense_bbox(arr)
+        assert m.area == int(np.count_nonzero(arr))
+        assert m.window.flags.c_contiguous and not m.window.flags.writeable
+        if m.bbox is not None:
+            r0, r1, c0, c1 = m.bbox
+            assert np.array_equal(m.window, arr[r0:r1, c0:c1])
+
+    @given(mask_pixel_sets(1))
+    def test_codec(self, arrays):
+        (arr,) = arrays
+        height, width = arr.shape
+        rle = dense_rle_encode(arr)
+        assert rle_encode(Mask(arr)) == rle
+        decoded = rle_decode(rle, width, height)
+        assert np.array_equal(decoded.pixels, dense_rle_decode(rle, width, height))
+        assert decoded == Mask(arr)
+        assert decoded.area == int(np.count_nonzero(arr))
+        assert decoded.window.flags.c_contiguous and not decoded.window.flags.writeable
+
+    @given(mask_pixel_sets(2))
+    def test_overlaps(self, arrays):
+        a, b = arrays
+        ma, mb = Mask(a), Mask(b)
+        assert intersection_area(ma, mb) == dense_intersection_area(a, b)
+        assert iou(ma, mb) == dense_iou(a, b)
+        if a.any():
+            assert containment(ma, mb) == dense_containment(a, b)
+
+    @given(mask_pixel_sets(3))
+    def test_union_and_difference(self, arrays):
+        a, b, c = arrays
+        union = union_masks([Mask(a), Mask(b), Mask(c)])
+        assert np.array_equal(union.pixels, a | b | c)
+        assert union == Mask(a | b | c)
+        difference = mask_difference(Mask(a), Mask(b))
+        assert np.array_equal(difference.pixels, a & ~b)
+        assert difference == Mask(a & ~b)
+
+
+class TestFromRect:
+    def test_clips_at_far_edges(self):
+        m = Mask.from_rect(4, 3, 1, 2, 5, 5)
+        expected = np.zeros((3, 4), dtype=bool)
+        expected[1:, 2:] = True
+        assert np.array_equal(m.pixels, expected)
+        assert m.bbox == (1, 3, 2, 4)
+
+    def test_past_the_canvas_is_empty(self):
+        assert Mask.from_rect(4, 3, 3, 0, 2, 2).area == 0
+
+    @pytest.mark.parametrize("row,col,n_rows,n_cols", [
+        (-2, 0, 5, 1),  # numpy slicing would have filled rows 1-2
+        (0, -1, 1, 3),  # ... and an empty mask here
+        (0, 0, 0, 2),
+        (0, 0, 2, -1),
+    ])
+    def test_rejects_negative_offset_or_non_positive_size(self, row, col, n_rows, n_cols):
+        with pytest.raises(MaskError):
+            Mask.from_rect(4, 3, row, col, n_rows, n_cols)
 
 
 class TestSizeBin:
