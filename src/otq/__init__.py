@@ -2,12 +2,11 @@
 trees with open-vocabulary labels."""
 
 from .audit import audit_grid, grid_to_csv, grid_to_table
-from .degrade import KINDS, SWEEP_KEEP_RATIOS, DegradeSpec, degrade_corpus, degrade_tree
+from .degrade import KINDS, SWEEP_KEEP_RATIOS, DegradeSpec, degrade_tree
 from .errors import (
     ConfigError,
     CorpusError,
     MaskError,
-    OtqError,
     PipelineError,
     RleError,
     SchemaError,
@@ -35,9 +34,8 @@ from .masks import (
     size_bin,
     union_masks,
 )
-from .matching import MatchResult, match_trees, max_weight_assignment
+from .matching import match_trees, max_weight_assignment
 from .metric import (
-    OtqReport,
     Skeleton,
     aggregate_reports,
     branch_quality,
@@ -52,11 +50,8 @@ from .metric import (
     tree_quality,
 )
 from .pipeline import (
-    Grounder,
     PipelineLimits,
-    PipelineRequest,
     Proposal,
-    Proposer,
     ScriptedGrounder,
     ScriptedProposer,
     SemanticNode,
@@ -69,7 +64,7 @@ from .pipeline import (
     merge_siblings,
     run_pipeline,
 )
-from .stats import CompatReport, CorpusStats, compat_eval, corpus_stats
+from .stats import compat_eval, corpus_stats
 from .synth import chunky_corpus, synthetic_corpus, synthetic_tree
 from .tree import (
     ROOT_ID,
@@ -77,7 +72,6 @@ from .tree import (
     InstanceNode,
     OpenTree,
     iter_corpus,
-    normalize_label,
     parse_tree,
     project_flat,
     serialize_tree,

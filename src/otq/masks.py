@@ -8,12 +8,13 @@ technique underlies the RLE-domain geometry of the COCO mask API.  The wire
 format is uncompressed COCO-style RLE: pixels are read in column-major order
 and encoded as space-separated run lengths, with the first run counting
 zeros (possibly 0).  Erosion and dilation give the result of iterated 3x3
-steps, computed from one distance transform.
+steps, computed from one distance transform over a padded window.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,10 +46,10 @@ class Mask:
 
     ``bbox`` is the tight bounding box ``(row0, row1, col0, col1)``,
     half-open, or None for an empty mask.  ``window`` holds the pixels inside
-    ``bbox`` as a C-contiguous read-only array (shape (0, 0) when empty).
-    ``pixels`` builds the full-canvas array on demand; it is meant for tests,
-    oracles and dilation, since its size is the canvas's.  Do not mutate a
-    mask after construction.
+    ``bbox`` as a C-contiguous read-only array (shape (0, 0) when empty), also
+    after a pickle round trip.  ``pixels`` builds the full-canvas array on
+    demand for tests and oracles; nothing in the package reads it.  Do not
+    mutate a mask after construction.
     """
 
     __slots__ = ("height", "width", "bbox", "window", "_area")
@@ -74,6 +75,9 @@ class Mask:
         mask._set(height, width, bbox, window, area)
         return mask
 
+    def __reduce__(self):
+        return Mask._of, (self.height, self.width, self.bbox, self.window, self._area)
+
     @classmethod
     def _placed(cls, height: int, width: int, row0: int, col0: int,
                 arr: np.ndarray) -> "Mask":
@@ -90,10 +94,7 @@ class Mask:
     @property
     def pixels(self) -> np.ndarray:
         """Full-canvas read-only (height, width) array, built on each call."""
-        out = np.zeros((self.height, self.width), dtype=bool)
-        if self.bbox is not None:
-            r0, r1, c0, c1 = self.bbox
-            out[r0:r1, c0:c1] = self.window
+        out = _region(self, (0, self.height, 0, self.width))
         out.setflags(write=False)
         return out
 
@@ -219,6 +220,11 @@ def _require_same_canvas(a: Mask, b: Mask) -> None:
             f"mask dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
 
 
+def _require_one_canvas(masks: Sequence[Mask]) -> None:
+    for m in masks[1:]:
+        _require_same_canvas(masks[0], m)
+
+
 def _overlap(a: Box | None, b: Box | None) -> Box | None:
     if a is None or b is None:
         return None
@@ -231,6 +237,31 @@ def _within(m: Mask, box: Box) -> np.ndarray:
     """The part of ``m``'s window inside the canvas box ``box``."""
     r0, _, c0, _ = m.bbox
     return m.window[box[0] - r0:box[1] - r0, box[2] - c0:box[3] - c0]
+
+
+def _region(m: Mask, box: Box) -> np.ndarray:
+    """The pixels of ``m`` inside the canvas box ``box``, as a new writable
+    array of the box's size."""
+    out = np.zeros((box[1] - box[0], box[3] - box[2]), dtype=bool)
+    inner = _overlap(m.bbox, box)
+    if inner is not None:
+        out[inner[0] - box[0]:inner[1] - box[0],
+            inner[2] - box[2]:inner[3] - box[2]] = _within(m, inner)
+    return out
+
+
+def overlapping_pairs(a: Sequence[Mask], b: Sequence[Mask]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), in row-major order, of ``a[i]`` and ``b[j]`` whose
+    bboxes overlap: the only pairs that can share a pixel.  Empty masks never
+    pair.  All masks must share one canvas."""
+    _require_one_canvas([*a, *b])
+    # An empty mask's box (0, 0, 0, 0) overlaps no box.
+    ra, rb = (np.array([m.bbox or (0, 0, 0, 0) for m in ms], dtype=np.int64).reshape(-1, 4)
+              for ms in (a, b))
+    hit = ((ra[:, None, 0] < rb[:, 1]) & (rb[:, 0] < ra[:, None, 1])
+           & (ra[:, None, 2] < rb[:, 3]) & (rb[:, 2] < ra[:, None, 3]))
+    rows, cols = np.nonzero(hit)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
@@ -270,31 +301,22 @@ def union_masks(masks: Sequence[Mask]) -> Mask:
     the union of their bboxes."""
     if not masks:
         raise MaskError("union of an empty mask list")
-    first = masks[0]
-    for m in masks[1:]:
-        _require_same_canvas(first, m)
+    _require_one_canvas(masks)
     boxes = [m.bbox for m in masks if m.bbox is not None]
     if not boxes:
-        return first
-    r0, c0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
-    acc = np.zeros((max(b[1] for b in boxes) - r0, max(b[3] for b in boxes) - c0),
-                   dtype=bool)
-    for m in masks:
-        if m.bbox is not None:
-            acc[m.bbox[0] - r0:m.bbox[1] - r0, m.bbox[2] - c0:m.bbox[3] - c0] |= m.window
-    return Mask._placed(first.height, first.width, r0, c0, acc)
+        return masks[0]
+    box = tuple(pick(b[k] for b in boxes) for k, pick in enumerate((min, max, min, max)))
+    return Mask._placed(masks[0].height, masks[0].width, box[0], box[2],
+                        np.logical_or.reduce([_region(m, box) for m in masks]))
 
 
 def mask_difference(a: Mask, b: Mask) -> Mask:
     """Pixels of a not covered by b, computed over a's bbox."""
     _require_same_canvas(a, b)
-    box = _overlap(a.bbox, b.bbox)
-    if box is None:
+    if _overlap(a.bbox, b.bbox) is None:
         return a
-    out = a.window.copy()
-    r0, _, c0, _ = a.bbox
-    out[box[0] - r0:box[1] - r0, box[2] - c0:box[3] - c0] &= ~_within(b, box)
-    return Mask._placed(a.height, a.width, r0, c0, out)
+    return Mask._placed(a.height, a.width, a.bbox[0], a.bbox[2],
+                        a.window & ~_region(b, a.bbox))
 
 
 def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
@@ -302,8 +324,16 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
     of the two bracketing ``target`` (ties to the larger k), reading the area
     after every k off one chessboard distance transform."""
     if grow:  # k dilations cover the pixels within k of the mask
-        dist = ndimage.distance_transform_cdt(~m.pixels, metric="chessboard")
-        row0 = col0 = 0
+        # While k < min(height, width), k steps cover at least (k+1)^2 pixels,
+        # so both steps bracketing the target lie within a pad of
+        # ceil(sqrt(target)) around the bbox; otherwise use the whole canvas.
+        pad = math.ceil(math.sqrt(target))
+        r0, r1, c0, c1 = m.bbox
+        if pad >= min(m.height, m.width):
+            pad = max(m.height, m.width)
+        row0, col0 = max(r0 - pad, 0), max(c0 - pad, 0)
+        box = (row0, min(r1 + pad, m.height), col0, min(c1 + pad, m.width))
+        dist = ndimage.distance_transform_cdt(~_region(m, box), metric="chessboard")
     else:  # k erosions keep the pixels farther than k from off-mask or off-canvas
         # Off-window pixels are off-mask, so a one-pixel pad holds the
         # nearest of them to every window pixel.
@@ -343,7 +373,8 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
 
     Stops at the step bracketing the target area; ties go to the grown side.
     A mask that cannot grow further (already canvas-maximal) is returned as is.
-    The distance transform runs over the full canvas.
+    The distance transform runs over the bbox padded by ceil(sqrt(target area)),
+    clipped to the canvas, or over the whole canvas if that pad reaches across.
     """
     if target_grow_to_ratio < 1.0:
         raise MaskError(

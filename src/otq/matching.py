@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
-from .masks import iou
+from .masks import iou, overlapping_pairs
 from .tree import OpenTree
 
 IOU_DECIMALS = 12
@@ -100,35 +100,19 @@ def match_trees(pred: OpenTree, ref: OpenTree, tau_node: float = 0.5) -> MatchRe
 
     pred_ids = sorted(pred.nodes)
     ref_ids = sorted(ref.nodes)
+    pred_masks = [pred.nodes[i].mask for i in pred_ids]
+    ref_masks = [ref.nodes[j].mask for j in ref_ids]
     weights = np.zeros((len(pred_ids), len(ref_ids)), dtype=np.float64)
-    if pred_ids and ref_ids:
-        pred_boxes = [pred.nodes[i].mask.bbox for i in pred_ids]
-        ref_boxes = [ref.nodes[j].mask.bbox for j in ref_ids]
-        for i, pid in enumerate(pred_ids):
-            pr0, pr1, pc0, pc1 = pred_boxes[i]
-            pmask = pred.nodes[pid].mask
-            for j, rid in enumerate(ref_ids):
-                rr0, rr1, rc0, rc1 = ref_boxes[j]
-                if pr0 >= rr1 or rr0 >= pr1 or pc0 >= rc1 or rc0 >= pc1:
-                    continue  # disjoint bounding boxes, IoU is 0
-                weights[i, j] = iou(pmask, ref.nodes[rid].mask)
+    # Pairs with disjoint bboxes keep IoU 0.
+    for i, j in overlapping_pairs(pred_masks, ref_masks):
+        weights[i, j] = iou(pred_masks[i], ref_masks[j])
 
     assigned = max_weight_assignment(weights)
     wq = np.round(weights * _SCALE).astype(np.int64)
     tau_q = round(tau_node * _SCALE)
 
-    pairs: list[tuple[int, int, float]] = []
-    tp: list[tuple[int, int, float]] = []
-    matched_pred: set[int] = set()
-    matched_ref: set[int] = set()
-    for i, j in assigned:
-        value = float(wq[i, j]) / _SCALE
-        pair = (pred_ids[i], ref_ids[j], value)
-        pairs.append(pair)
-        if wq[i, j] >= tau_q:
-            tp.append(pair)
-            matched_pred.add(pred_ids[i])
-            matched_ref.add(ref_ids[j])
-    fp = [pid for pid in pred_ids if pid not in matched_pred]
-    fn = [rid for rid in ref_ids if rid not in matched_ref]
+    pairs = [(pred_ids[i], ref_ids[j], float(wq[i, j]) / _SCALE) for i, j in assigned]
+    tp = [pair for pair, (i, j) in zip(pairs, assigned) if wq[i, j] >= tau_q]
+    fp = sorted(set(pred_ids) - {p for p, _, _ in tp})
+    fn = sorted(set(ref_ids) - {r for _, r, _ in tp})
     return MatchResult(pairs=pairs, tp=tp, fp=fp, fn=fn, tau_node=tau_node)

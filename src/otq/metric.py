@@ -28,15 +28,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from math import comb
 from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusError
 from .labels import SimilarityProtocol, similarity
-from .masks import intersection_area, iou
+# perfbench's tracer wraps intersection_area at this attribute.
+from .masks import intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
 from .tree import ROOT_ID, OpenTree, corpus_index, located, parse_tree
 
@@ -81,23 +84,11 @@ class OtqReport:
 
 @dataclass
 class Skeleton:
-    """Parent map over TP nodes plus the artificial root."""
+    """Parent map over TP nodes plus the artificial root, and each node's
+    root-first path (the root's is ``(ROOT_ID,)``)."""
 
     parent: dict[int, int]
-    depth: dict[int, int]
-
-    def lca(self, a: int, b: int) -> int:
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
+    path: dict[int, tuple[int, ...]]
 
 
 def matched_node_quality(match: MatchResult, pred: OpenTree, ref: OpenTree,
@@ -138,49 +129,52 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
         chosen = ROOT_ID
         for anc in tree.ancestors(nid):
             candidates = groups.get(tree.label_paths[anc])
-            if not candidates:
-                continue
-            best_id = None
-            best_iou = 0.0
-            for cand in candidates:
-                if intersection_area(mask, tree.nodes[cand].mask) == 0:
-                    continue
-                cand_iou = iou(mask, tree.nodes[cand].mask)
-                if best_id is None or cand_iou > best_iou or (
-                        cand_iou == best_iou and cand < best_id):
-                    best_id, best_iou = cand, cand_iou
-            if best_id is not None:
-                chosen = best_id
-                break
+            if candidates:
+                best_iou, neg_id = max((iou(mask, tree.nodes[cand].mask), -cand)
+                                       for cand in candidates)
+                if best_iou > 0:
+                    chosen = -neg_id
+                    break
         parent[nid] = chosen
 
-    depth: dict[int, int] = {ROOT_ID: 0}
+    path: dict[int, tuple[int, ...]] = {ROOT_ID: (ROOT_ID,)}
     # Skeleton parents always have a strictly shorter label path, so original
     # depth order resolves every parent before its children.
     for nid in sorted(tp_ids, key=lambda n: tree.depths[n]):
-        depth[nid] = depth[parent[nid]] + 1
-    return Skeleton(parent=parent, depth=depth)
+        path[nid] = path[parent[nid]] + (nid,)
+    return Skeleton(parent=parent, path=path)
 
 
 def branch_quality(skel_pred: Skeleton, skel_ref: Skeleton,
                    match: MatchResult) -> float:
     """Fraction of unordered TP pairs with agreeing nearest matched common
-    parents; 1.0 with fewer than two TP nodes."""
-    tp = sorted(match.tp)
-    if len(tp) < 2:
+    parents; 1.0 with fewer than two TP nodes.
+
+    Counted per ref skeleton node x with matched pred node y (root to root),
+    in time TP x depth: a pair agrees at x when both its nodes have x on
+    their ref path and y on their pred path, in different branches below
+    each (a node that is x itself is its own branch).  A node joining the
+    s nodes already seen below x and y, r of them in its ref branch, p in
+    its pred branch and b in both, adds s - r - p + b agreeing pairs.
+    """
+    if len(match.tp) < 2:
         return 1.0
-    ref_to_pred = {r: p for p, r, _ in tp}
+    ref_to_pred = {r: p for p, r, _ in match.tp}
     ref_to_pred[ROOT_ID] = ROOT_ID
-    consistent = 0
-    total = 0
-    for i in range(len(tp)):
-        for j in range(i + 1, len(tp)):
-            lca_ref = skel_ref.lca(tp[i][1], tp[j][1])
-            lca_pred = skel_pred.lca(tp[i][0], tp[j][0])
-            if ref_to_pred[lca_ref] == lca_pred:
-                consistent += 1
-            total += 1
-    return consistent / total
+    seen: defaultdict[object, int] = defaultdict(int)
+    agree = 0
+    for p, r, _ in match.tp:
+        ref_path, pred_path = skel_ref.path[r], skel_pred.path[p]
+        for dx, x in enumerate(ref_path):
+            y = ref_to_pred[x]
+            dy = len(skel_pred.path[y]) - 1
+            if dy < len(pred_path) and pred_path[dy] == y:
+                rb, pb = (ref_path[dx + 1], pred_path[dy + 1]) if x != r else (r, p)
+                ref_side, pred_side, both = (x, rb, None), (x, None, pb), (x, rb, pb)
+                agree += seen[x] - seen[ref_side] - seen[pred_side] + seen[both]
+                for key in (x, ref_side, pred_side, both):
+                    seen[key] += 1
+    return agree / comb(len(match.tp), 2)
 
 
 def tree_quality(bq: float, match: MatchResult) -> float:

@@ -35,7 +35,8 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import PipelineError, RleError, SchemaError, ValidationError
-from .masks import Mask, containment, intersection_area, iou, mask_difference, union_masks
+from .masks import (Mask, containment, intersection_area, iou, mask_difference,
+                    overlapping_pairs, union_masks)
 from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree, _is_int
 
 OTHERS_LABEL = "others"
@@ -163,14 +164,12 @@ def merge_siblings(siblings: Sequence[Mask]) -> list[Mask]:
 
     masks = list(siblings)
     while True:
-        n = len(masks)
-        close = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                inter = intersection_area(masks[i], masks[j])
-                if inter:  # keeps an empty mask's zero area out of the divisor
-                    smaller = min(masks[i].area, masks[j].area)
-                    close[i, j] = inter / smaller > SIBLING_MERGE_OVERLAP
+        close = np.zeros((len(masks), len(masks)), dtype=bool)
+        for i, j in overlapping_pairs(masks, masks):
+            if i < j:  # empty masks never pair, so the divisor is positive
+                smaller = min(masks[i].area, masks[j].area)
+                close[i, j] = (intersection_area(masks[i], masks[j]) / smaller
+                               > SIBLING_MERGE_OVERLAP)
         if not close.any():
             return masks
         # Components are numbered by their smallest member, keeping order.

@@ -14,13 +14,13 @@ over matched references and average recall over the IoU thresholds
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CorpusError
-from .masks import Mask, SizeBin, iou, size_bin
+from .masks import Mask, SizeBin, iou, overlapping_pairs, size_bin
 from .tree import OpenTree
 
 DEPTH_ROWS = ("1", "2", "3", "4+")
@@ -39,14 +39,7 @@ class CorpusStats:
     depth_by_bin: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "n_images": self.n_images,
-            "n_masks": self.n_masks,
-            "masks_per_image": self.masks_per_image,
-            "n_unique_labels": self.n_unique_labels,
-            "max_depth": self.max_depth,
-            "depth_by_bin": self.depth_by_bin,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         lines = [
@@ -76,14 +69,7 @@ class CompatReport:
     ar_by_bin: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "mean_iou": self.mean_iou,
-            "median_iou": self.median_iou,
-            "ar": self.ar,
-            "ar50": self.ar50,
-            "ar75": self.ar75,
-            "ar_by_bin": self.ar_by_bin,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         bins = "".join(
@@ -137,12 +123,8 @@ def _greedy_match(ref_masks: list[Mask],
                   cand_masks: list[Mask]) -> list[float]:
     """Best-IoU one-to-one consumption; returns the matched IoU per reference
     (0.0 for unmatched)."""
-    scored = []
-    for ri, rm in enumerate(ref_masks):
-        for ci, cm in enumerate(cand_masks):
-            value = iou(rm, cm)
-            if value > 0.0:
-                scored.append((value, ri, ci))
+    scored = [(value, ri, ci) for ri, ci in overlapping_pairs(ref_masks, cand_masks)
+              if (value := iou(ref_masks[ri], cand_masks[ci])) > 0.0]
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched = [0.0] * len(ref_masks)
     used_ref: set[int] = set()

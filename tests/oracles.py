@@ -3,7 +3,7 @@
 Everything here is deliberately naive: assignments by exhaustive
 enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
 intersection, skeletons by a direct reading of the climbing rule on full
-mask arrays, the RLE codec and mask overlaps on full-canvas arrays,
+mask arrays, a whole per-image report by a direct reading of the metric, the RLE codec and mask overlaps on full-canvas arrays,
 morphology by one 3x3 step at a time.  Nothing imports the modules under
 test beyond data types.
 """
@@ -111,13 +111,12 @@ def ancestor_set_lca(parents: dict[int, int], a: int, b: int) -> int:
     return ROOT_ID
 
 
-def naive_bq(pred: OpenTree, ref: OpenTree,
-             tp_pairs: list[tuple[int, int]]) -> float:
-    """Branch quality via naive skeletons and all-pairs ancestor-set LCA."""
+def all_pairs_bq(pred_parents: dict[int, int], ref_parents: dict[int, int],
+                 tp_pairs: list[tuple[int, int]]) -> float:
+    """Branch quality of two skeleton parent maps over every unordered TP
+    pair, each pair's common parents found by ancestor-set LCA."""
     if len(tp_pairs) < 2:
         return 1.0
-    pred_parents = naive_skeleton_parents(pred, {p for p, _ in tp_pairs})
-    ref_parents = naive_skeleton_parents(ref, {r for _, r in tp_pairs})
     ref_to_pred = {r: p for p, r in tp_pairs}
     ref_to_pred[ROOT_ID] = ROOT_ID
     consistent = total = 0
@@ -127,6 +126,80 @@ def naive_bq(pred: OpenTree, ref: OpenTree,
         consistent += ref_to_pred[lca_ref] == lca_pred
         total += 1
     return consistent / total
+
+
+def naive_bq(pred: OpenTree, ref: OpenTree,
+             tp_pairs: list[tuple[int, int]]) -> float:
+    """Branch quality via naive skeletons and all-pairs ancestor-set LCA."""
+    return all_pairs_bq(naive_skeleton_parents(pred, {p for p, _ in tp_pairs}),
+                        naive_skeleton_parents(ref, {r for _, r in tp_pairs}),
+                        tp_pairs)
+
+
+_SCALE = 10**12  # IoU quantization: 12 decimal digits
+
+
+def naive_assignments(pred: OpenTree, ref: OpenTree
+                      ) -> tuple[list[list[tuple[int, int]]], dict[tuple[int, int], int]]:
+    """Every maximum-total one-to-one set of positive-IoU (pred_id, ref_id)
+    pairs, each sorted, found by exhaustive enumeration (keep both trees to
+    about 7 nodes); and the quantized IoU of every pred x ref pair."""
+    pixels = {("p", n): node.mask.pixels for n, node in pred.nodes.items()}
+    pixels.update({("r", n): node.mask.pixels for n, node in ref.nodes.items()})
+    wq = {(p, r): round(_pixel_iou(pixels["p", p], pixels["r", r]) * _SCALE)
+          for p in pred.nodes for r in ref.nodes}
+    pred_ids, ref_ids = sorted(pred.nodes), sorted(ref.nodes)
+
+    def extend(i: int, used: frozenset):
+        if i == len(pred_ids):
+            yield []
+            return
+        yield from extend(i + 1, used)
+        for r in ref_ids:
+            if r not in used and wq[pred_ids[i], r] > 0:
+                for rest in extend(i + 1, used | {r}):
+                    yield [(pred_ids[i], r)] + rest
+
+    scored = [(sum(wq[pair] for pair in pairs), pairs) for pairs in extend(0, frozenset())]
+    best = max(total for total, _ in scored)
+    return [pairs for total, pairs in scored if total == best], wq
+
+
+def _similarity(proto, a: str, b: str) -> float:
+    """Table value, else 1 for a self-pair, else the protocol's default."""
+    key = (a, b) if a <= b else (b, a)
+    if key in proto.table:
+        return proto.table[key]
+    return 1.0 if a == b else float(proto.default_for_missing)
+
+
+def naive_otq(pred: OpenTree, ref: OpenTree, proto, tau: float = 0.5) -> dict:
+    """The per-image report record, read straight off the metric definition.
+
+    Matching: dense pixel IoU quantized to 12 decimals, the maximum-total
+    one-to-one assignment by enumeration; of several maxima the one whose
+    sorted (pred_id, ref_id) list is lexicographically smallest wins (the
+    library's canonicalization is only locally canonical, so compare on
+    inputs with one maximum).  TP pairs have quantized IoU >= tau.  Skeleton
+    ties go to the smaller node id (``naive_skeleton_parents``).
+    """
+    optima, wq = naive_assignments(pred, ref)
+    tau_q = round(tau * _SCALE)
+    tp = [(p, r, wq[p, r] / _SCALE) for p, r in min(optima) if wq[p, r] >= tau_q]
+    n_tp = len(tp)
+    fp = len(pred.nodes) - n_tp
+    fn = len(ref.nodes) - n_tp
+    record = {"image_id": ref.canvas.image_id, "tp": n_tp, "fp": fp, "fn": fn,
+              "n_pairs": n_tp * (n_tp - 1) // 2}
+    if not tp:
+        return {**record, "otq": 0.0, "tq": 0.0, "bq": 0.0,
+                "mean_nq": 0.0, "mq": 0.0, "lq": 0.0}
+    sims = [_similarity(proto, pred.nodes[p].label, ref.nodes[r].label) for p, r, _ in tp]
+    mean_nq = sum(v * s for (_, _, v), s in zip(tp, sims)) / n_tp
+    bq = naive_bq(pred, ref, [(p, r) for p, r, _ in tp])
+    tq = bq * n_tp / (n_tp + 0.5 * fp + 0.5 * fn)
+    return {**record, "otq": tq * mean_nq, "tq": tq, "bq": bq, "mean_nq": mean_nq,
+            "mq": sum(v for _, _, v in tp) / n_tp, "lq": sum(sims) / n_tp}
 
 
 def tree_lca(tree: OpenTree, a: int, b: int) -> int:

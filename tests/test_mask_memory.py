@@ -14,6 +14,7 @@ from otq import (
     OpenTree,
     ROOT_ID,
     SimilarityProtocol,
+    dilate,
     evaluate_image,
     parse_tree,
     serialize_tree,
@@ -38,6 +39,20 @@ def test_parse_of_large_canvas_peaks_near_object_size():
         tracemalloc.stop()
     assert tree.n_nodes == 50
     assert peak < 8 * 2**20, f"parse peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_dilation_on_large_canvas_peaks_near_object_size():
+    # A 10x10 rectangle grown to 4x its area on a 2048x2048 canvas; a
+    # full-canvas distance transform would take tens of MiB.
+    mask = Mask.from_rect(2048, 2048, 1000, 1000, 10, 10)
+    tracemalloc.start()
+    try:
+        grown = dilate(mask, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grown.bbox == (995, 1015, 995, 1015)
+    assert peak < 2**20, f"dilation peaked at {peak / 2**20:.1f} MiB"
 
 
 def _no_full_canvas(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -23,6 +25,7 @@ from otq import (
     size_bin,
     union_masks,
 )
+from otq.masks import overlapping_pairs
 
 from conftest import rect
 from oracles import (
@@ -287,6 +290,65 @@ class TestMorphologyMatchesIteratedSteps:
             out, expected = erode(Mask(pixels), ratio), iterated_erode(pixels, ratio)
         assert out.area == after
         assert np.array_equal(out.pixels, expected)
+
+
+@st.composite
+def small_mask_on_large_canvas(draw):
+    """A nonempty mask of at most 4x4 pixels placed anywhere on a canvas of
+    up to 40x40, so that dilation pads are clipped on some sides only."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    h, w = min(height, draw(st.integers(1, 4))), min(width, draw(st.integers(1, 4)))
+    row, col = draw(st.integers(0, height - h)), draw(st.integers(0, width - w))
+    pixels = np.zeros((height, width), dtype=bool)
+    pixels[row:row + h, col:col + w] = draw(pixels_on(h, w, nonempty=True))
+    return pixels
+
+
+class TestDilationWindow:
+    @given(small_mask_on_large_canvas(), st.floats(1.0, 60.0))
+    def test_matches_iterated_steps(self, pixels, ratio):
+        out = dilate(Mask(pixels), ratio).pixels
+        assert np.array_equal(out, iterated_dilate(pixels, ratio))
+
+
+class TestOverlappingPairs:
+    @given(canvases, st.data())
+    def test_matches_dense_all_pairs(self, canvas, data):
+        height, width = canvas
+        a = [data.draw(pixels_on(height, width)) for _ in range(data.draw(st.integers(0, 4)))]
+        b = [data.draw(pixels_on(height, width)) for _ in range(data.draw(st.integers(0, 4)))]
+
+        def boxes_meet(x, y):
+            bx, by = dense_bbox(x), dense_bbox(y)
+            return (bx is not None and by is not None and bx[0] < by[1] and by[0] < bx[1]
+                    and bx[2] < by[3] and by[2] < bx[3])
+
+        pairs = overlapping_pairs([Mask(x) for x in a], [Mask(y) for y in b])
+        assert pairs == [(i, j) for i, x in enumerate(a) for j, y in enumerate(b)
+                         if boxes_meet(x, y)]
+        # Every pair sharing a pixel is among them.
+        assert {(i, j) for i, x in enumerate(a) for j, y in enumerate(b)
+                if dense_intersection_area(x, y)} <= set(pairs)
+
+    @pytest.mark.parametrize("row,col,meets", [
+        (5, 2, False), (0, 2, False), (2, 5, False), (2, 0, False),  # edge to edge
+        (4, 4, True), (1, 1, True), (4, 1, True), (1, 4, True),  # one shared corner pixel
+    ])
+    def test_boxes_that_only_touch_do_not_pair(self, row, col, meets):
+        a, b = rect(8, 8, 2, 2, 3, 3), rect(8, 8, row, col, 2, 2)
+        expected = [(0, 0)] if meets else []
+        assert overlapping_pairs([a], [b]) == overlapping_pairs([b], [a]) == expected
+
+    def test_rejects_masks_of_another_canvas(self):
+        with pytest.raises(MaskError, match="dimension mismatch"):
+            overlapping_pairs([rect(8, 8, 0, 0, 2, 2)], [rect(8, 9, 6, 6, 2, 2)])
+
+
+def test_pickle_keeps_the_window_read_only():
+    for mask in (Mask.from_rect(10, 8, 2, 3, 4, 5), Mask(np.zeros((3, 4), dtype=bool))):
+        copy = pickle.loads(pickle.dumps(mask))
+        assert copy == mask and copy.area == mask.area
+        assert not copy.window.flags.writeable
 
 
 class TestWindowsMatchDenseArrays:

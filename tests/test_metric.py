@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from otq import (
     ROOT_ID,
@@ -28,10 +30,12 @@ from otq import (
     tree_quality,
     write_corpus,
 )
+from otq.matching import MatchResult
+from otq.metric import Skeleton
 from otq.tree import corpus_index
 
 from conftest import make_tree, rect
-from oracles import naive_bq
+from oracles import all_pairs_bq, naive_assignments, naive_bq, naive_otq
 
 STRICT = SimilarityProtocol.strict()
 
@@ -110,7 +114,7 @@ class TestSkeleton:
         skel_ref = build_skeleton(ref, match, "ref")
         assert skel_ref.parent[2] == ROOT_ID
         assert skel_ref.parent[3] == ROOT_ID
-        assert skel_ref.lca(2, 3) == ROOT_ID
+        assert (skel_ref.path[2], skel_ref.path[3]) == ((ROOT_ID, 2), (ROOT_ID, 3))
 
     def test_attaches_to_same_label_instance_when_parent_missing(self):
         # Two "car" instances share ground; the wheel's own car is missed by
@@ -194,6 +198,123 @@ class TestBranchQuality:
             bq = branch_quality(skel_p, skel_r, match)
             tp_pairs = [(p, r) for p, r, _ in match.tp]
             assert bq == pytest.approx(naive_bq(pred, ref, tp_pairs), abs=0)
+
+
+def skeleton_of(parent: dict[int, int]) -> Skeleton:
+    """Skeleton of a parent map (root maps to itself), paths by walking up."""
+    path = {}
+    for node in parent:
+        chain = [node]
+        while chain[-1] != ROOT_ID:
+            chain.append(parent[chain[-1]])
+        path[node] = tuple(reversed(chain))
+    return Skeleton(parent=parent, path=path)
+
+
+@st.composite
+def skeleton_matches(draw):
+    """Ref and pred skeletons over up to 200 TP nodes and their match.
+
+    Ref node k hangs below an earlier node at most ``span`` places back, or
+    below the root (drawn as 0); ref ids map to pred ids by a random
+    permutation of the same ids.  Each pred node either follows its ref
+    parent through that map or is rewired to another earlier node or the
+    root.
+    """
+    n = draw(st.integers(0, 200))
+    span = draw(st.integers(1, max(n, 1)))
+    pred_of = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    pred_of[0] = pred_of[ROOT_ID] = ROOT_ID
+    ref_parent, pred_parent = {ROOT_ID: ROOT_ID}, {ROOT_ID: ROOT_ID}
+    for k in range(1, n + 1):
+        ref_parent[k] = draw(st.integers(max(0, k - 1 - span), k - 1)) or ROOT_ID
+        follows = draw(st.booleans())
+        pred_parent[pred_of[k]] = pred_of[
+            ref_parent[k] if follows else draw(st.integers(0, k - 1))]
+    tp = [(pred_of[k], k, 1.0) for k in range(1, n + 1)]
+    match = MatchResult(pairs=tp, tp=tp, fp=[], fn=[], tau_node=0.5)
+    return skeleton_of(pred_parent), skeleton_of(ref_parent), match
+
+
+class TestBranchQualityCounting:
+    @settings(max_examples=30)
+    @given(skeleton_matches())
+    def test_equals_all_pairs_oracle(self, case):
+        skel_pred, skel_ref, match = case
+        expected = all_pairs_bq(skel_pred.parent, skel_ref.parent,
+                                [(p, r) for p, r, _ in match.tp])
+        assert branch_quality(skel_pred, skel_ref, match) == expected
+
+
+@st.composite
+def rect_specs(draw, width, height, n):
+    """(row, col, n_rows, n_cols) of ``n`` rectangles, some duplicated."""
+    specs = []
+    for _ in range(n):
+        if specs and draw(st.integers(0, 5)) == 0:
+            specs.append(draw(st.sampled_from(specs)))
+            continue
+        row, col = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        specs.append((row, col, draw(st.integers(1, height - row)),
+                      draw(st.integers(1, width - col))))
+    return specs
+
+
+@st.composite
+def small_trees(draw, max_nodes=6):
+    """A valid tree of up to ``max_nodes`` rectangles with labels from a
+    three-word vocabulary, and its generating spec."""
+    width, height = draw(st.integers(4, 10)), draw(st.integers(4, 10))
+    n = draw(st.integers(0, max_nodes))
+    ids = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n, unique=True))
+    spec = []
+    for k, (nid, box) in enumerate(zip(ids, draw(rect_specs(width, height, n)))):
+        parent = draw(st.sampled_from([None, *ids[:k]]))
+        spec.append((nid, draw(st.sampled_from("abc")), parent, box))
+    tree = make_tree([(nid, label, parent, rect(width, height, *box))
+                      for nid, label, parent, box in spec],
+                     width=width, height=height)
+    return tree, spec
+
+
+@st.composite
+def tree_pairs(draw):
+    """(pred, ref): the prediction drops, jitters, relabels and rewires the
+    reference's nodes."""
+    ref, spec = draw(small_trees())
+    width, height = ref.canvas.width, ref.canvas.height
+    kept = [entry for entry in spec if draw(st.integers(0, 4))]
+    pred_spec = []
+    for k, (nid, label, _, (row, col, n_rows, n_cols)) in enumerate(kept):
+        row = min(max(row + draw(st.integers(-1, 1)), 0), height - 1)
+        col = min(max(col + draw(st.integers(-1, 1)), 0), width - 1)
+        n_rows = max(n_rows + draw(st.integers(-1, 1)), 1)
+        n_cols = max(n_cols + draw(st.integers(-1, 1)), 1)
+        parent = draw(st.sampled_from([None, *(e[0] for e in pred_spec)]))
+        label = draw(st.sampled_from([label, label, "a", "b", "c"]))
+        pred_spec.append((nid, label, parent, rect(width, height, row, col, n_rows, n_cols)))
+    return make_tree(pred_spec, width=width, height=height), ref
+
+
+PROTOCOLS = (STRICT, SimilarityProtocol.constant_one(),
+             load_similarity_table([json.dumps({"a": "a", "b": "b", "sim": 0.5})],
+                                   default_for_missing=0.25))
+
+
+class TestAgainstNaiveOtq:
+    @given(tree_pairs(), st.sampled_from(PROTOCOLS), st.sampled_from((0.5, 0.3, 0.75)))
+    def test_evaluate_image_equals_oracle(self, pair, proto, tau):
+        pred, ref = pair
+        assume(len(naive_assignments(pred, ref)[0]) == 1)  # one maximum: no tie
+        assert evaluate_image(pred, ref, proto, tau).to_record() == naive_otq(
+            pred, ref, proto, tau)
+
+    @given(small_trees(max_nodes=12))
+    def test_identity_scores_one(self, tree_and_spec):
+        tree, _ = tree_and_spec
+        report = evaluate_image(tree, tree, STRICT)
+        assert report.tp == tree.n_nodes
+        assert report.otq == (1.0 if tree.n_nodes else 0.0)
 
 
 class TestTreeQuality:
