@@ -18,7 +18,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MaskError, RleError
 
@@ -323,6 +322,8 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
     """Erode or dilate ``m`` by the 3x3 step count k whose area is the closer
     of the two bracketing ``target`` (ties to the larger k), reading the area
     after every k off one chessboard distance transform."""
+    # Imported here: at module level it would slow every ``otq`` start.
+    from scipy import ndimage
     if grow:  # k dilations cover the pixels within k of the mask
         # While k < min(height, width), k steps cover at least (k+1)^2 pixels,
         # so both steps bracketing the target lie within a pad of

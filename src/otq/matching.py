@@ -5,6 +5,16 @@ The assignment maximizes total mask IoU over all one-to-one pairings
 before solving so that optimality ties are exact integer ties; among
 tied pairings, pairs are locally canonicalized toward (pred_id, ref_id)
 lexicographic preference for reproducible output.
+
+Most matrices need no solver.  When every row whose largest weight is
+positive reaches it in exactly one column, and no two such rows share that
+column, the row-to-column map is optimal: it attains the upper bound
+sum(row maxima), and any assignment attaining that bound gives each such
+row its maximum, which only that column holds.  So it is the unique
+optimum over positive pairs, which is what the solver plus
+canonicalization would return (weights must be non-negative, as IoU is).
+Only matrices without this certificate import scipy's
+``linear_sum_assignment`` (Crouse 2016).
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .masks import iou, overlapping_pairs
@@ -69,19 +78,45 @@ def _canonicalize(rows: list[int], cols: list[int], wq: np.ndarray) -> list[int]
     return cols
 
 
+def _certified(wq: np.ndarray) -> list[tuple[int, int]] | None:
+    """The (row, argmax column) pairs of the rows with a positive maximum
+    if the row-maximum certificate holds, else None.  A negative weight voids
+    it: the solver then fills every row, which can cost a positive pair."""
+    best = wq.max(axis=1)
+    rows = np.flatnonzero(best > 0)
+    hits = wq[rows] == best[rows, None]
+    cols = hits.argmax(axis=1)
+    if (wq.min() < 0 or np.count_nonzero(hits) != len(rows)
+            or np.unique(cols).size != len(cols)):
+        return None
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def max_weight_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total assignment on a dense weight matrix.
 
     Weights are quantized to ``IOU_DECIMALS`` digits; zero-weight pairs are
     never part of the result.  Returns (row, col) index pairs sorted by row.
+
+    Certificate: if every row with a positive maximum reaches it in exactly
+    one column, no two such rows share that column and no weight is
+    negative, those pairs are returned without a solver.  Proof: their total
+    is sum(row maxima), which bounds every assignment, and only they reach
+    it.  Otherwise ``linear_sum_assignment`` solves the matrix and
+    ``_canonicalize`` settles ties.
     """
     if weights.size == 0:
         return []
     wq = np.round(np.asarray(weights, dtype=np.float64) * _SCALE).astype(np.int64)
+    certified = _certified(wq)
+    if certified is not None:
+        return certified
+    # Imported here: at module level it would slow every ``otq`` start.
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(wq, maximize=True)
     keep = wq[rows, cols] > 0
-    rows = list(rows[keep])
-    cols = list(cols[keep])
+    rows = rows[keep].tolist()
+    cols = cols[keep].tolist()
     cols = _canonicalize(rows, cols, wq)
     return sorted(zip(rows, cols))
 
@@ -107,12 +142,14 @@ def match_trees(pred: OpenTree, ref: OpenTree, tau_node: float = 0.5) -> MatchRe
     for i, j in overlapping_pairs(pred_masks, ref_masks):
         weights[i, j] = iou(pred_masks[i], ref_masks[j])
 
-    assigned = max_weight_assignment(weights)
-    wq = np.round(weights * _SCALE).astype(np.int64)
+    # Quantized as in the assignment: round() and np.round both round half
+    # to even.
+    assigned = [(i, j, round(float(weights[i, j]) * _SCALE))
+                for i, j in max_weight_assignment(weights)]
     tau_q = round(tau_node * _SCALE)
 
-    pairs = [(pred_ids[i], ref_ids[j], float(wq[i, j]) / _SCALE) for i, j in assigned]
-    tp = [pair for pair, (i, j) in zip(pairs, assigned) if wq[i, j] >= tau_q]
+    pairs = [(pred_ids[i], ref_ids[j], q / _SCALE) for i, j, q in assigned]
+    tp = [pair for pair, (_, _, q) in zip(pairs, assigned) if q >= tau_q]
     fp = sorted(set(pred_ids) - {p for p, _, _ in tp})
     fn = sorted(set(ref_ids) - {r for _, r, _ in tp})
     return MatchResult(pairs=pairs, tp=tp, fp=fp, fn=fn, tau_node=tau_node)

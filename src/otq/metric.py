@@ -39,7 +39,7 @@ from typing import Iterable
 from .errors import CorpusError
 from .labels import SimilarityProtocol, similarity
 # perfbench's tracer wraps intersection_area at this attribute.
-from .masks import intersection_area, iou  # noqa: F401
+from .masks import Mask, intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
 from .tree import ROOT_ID, OpenTree, corpus_index, located, parse_tree
 
@@ -119,19 +119,25 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
     # Semantic identity of a node is its root-to-node label path; a TP node
     # can only attach to members of a strictly shorter path, so the result
     # is acyclic by construction.
-    groups: dict[tuple[str, ...], list[int]] = {}
+    groups: dict[tuple[str, ...], list[tuple[int, Mask]]] = {}
     for nid in tp_ids:
-        groups.setdefault(tree.label_paths[nid], []).append(nid)
+        groups.setdefault(tree.label_paths[nid], []).append((nid, tree.nodes[nid].mask))
 
     parent: dict[int, int] = {ROOT_ID: ROOT_ID}
     for nid in tp_ids:
         mask = tree.nodes[nid].mask
+        r0, r1, c0, c1 = mask.bbox  # TP masks are never empty
         chosen = ROOT_ID
         for anc in tree.ancestors(nid):
             candidates = groups.get(tree.label_paths[anc])
             if candidates:
-                best_iou, neg_id = max((iou(mask, tree.nodes[cand].mask), -cand)
-                                       for cand in candidates)
+                # A candidate whose bbox misses the node's has IoU 0, so it
+                # can never be the positive best and is skipped unscored.
+                best_iou, neg_id = max(
+                    ((iou(mask, cand), -cid) for cid, cand in candidates
+                     if (b := cand.bbox)[0] < r1 and r0 < b[1]
+                     and b[2] < c1 and c0 < b[3]),
+                    default=(0.0, 0))
                 if best_iou > 0:
                     chosen = -neg_id
                     break

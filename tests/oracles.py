@@ -1,11 +1,12 @@
 """Independent brute-force implementations used to cross-check the library.
 
 Everything here is deliberately naive: assignments by exhaustive
-enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
-intersection, skeletons by a direct reading of the climbing rule on full
-mask arrays, a whole per-image report by a direct reading of the metric, the RLE codec and mask overlaps on full-canvas arrays,
-morphology by one 3x3 step at a time.  Nothing imports the modules under
-test beyond data types.
+enumeration or by the solver on every matrix, depths by BFS over an
+adjacency list, LCA by ancestor-set intersection, skeletons by a direct
+reading of the climbing rule on full mask arrays, a whole per-image report
+by a direct reading of the metric, the RLE codec and mask overlaps on
+full-canvas arrays, morphology by one 3x3 step at a time.  Nothing imports
+the modules under test beyond data types.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 
 from otq import ROOT_ID, OpenTree
 
@@ -31,6 +33,43 @@ def brute_force_max_total(weights: np.ndarray) -> int:
             total = sum(int(weights[perm[j], j]) for j in range(n_cols))
             best = max(best, total)
     return best
+
+
+_SCALE = 10**12
+
+
+def _canonicalize(rows: list[int], cols: list[int], wq: np.ndarray) -> list[int]:
+    """Swap assigned column pairs while the total is unchanged so that
+    earlier rows take smaller columns.  Weights are integers, so the
+    no-total-change test is exact."""
+    cols = list(cols)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                ia, ib = rows[a], rows[b]
+                ja, jb = cols[a], cols[b]
+                if jb < ja and (wq[ia, jb] + wq[ib, ja]
+                                == wq[ia, ja] + wq[ib, jb]):
+                    cols[a], cols[b] = jb, ja
+                    changed = True
+    return cols
+
+
+def lsap_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Assignment by ``linear_sum_assignment`` on every matrix: quantize to
+    12 decimals, solve, keep the positive pairs, canonicalize ties, sort by
+    row.  ``max_weight_assignment`` must equal it, certificate or not."""
+    if weights.size == 0:
+        return []
+    wq = np.round(np.asarray(weights, dtype=np.float64) * _SCALE).astype(np.int64)
+    rows, cols = linear_sum_assignment(wq, maximize=True)
+    keep = wq[rows, cols] > 0
+    rows = list(rows[keep])
+    cols = list(cols[keep])
+    cols = _canonicalize(rows, cols, wq)
+    return sorted(zip(rows, cols))
 
 
 def bfs_depths(tree: OpenTree) -> dict[int, int]:

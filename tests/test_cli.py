@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import otq
 from otq import (
     iter_corpus,
     project_flat,
@@ -21,6 +26,37 @@ def corpus_path(tmp_path):
     path = tmp_path / "ref.jsonl"
     write_corpus(synthetic_corpus(4, seed=41), path)
     return path
+
+
+class TestLazyImports:
+    def test_evaluate_loads_no_scipy_module_it_does_not_use(self, two_branch_tree,
+                                                           tmp_path):
+        # The tree scored against itself has distinct row maxima, so its
+        # assignment needs no solver; morphology and a tied matrix then load
+        # what they use.
+        corpus, out = tmp_path / "tree.jsonl", tmp_path / "report.json"
+        write_corpus([two_branch_tree], corpus)
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            from otq.cli import main
+            args = ["evaluate", "--pred", {str(corpus)!r}, "--ref", {str(corpus)!r},
+                    "--out", {str(out)!r}]
+            assert main(args) == 0
+            lazy = ("scipy.optimize", "scipy.ndimage", "scipy.sparse")
+            loaded = [name for name in lazy if name in sys.modules]
+            assert not loaded, loaded
+            from otq import Mask, erode, max_weight_assignment
+            assert erode(Mask.from_rect(8, 8, 0, 0, 6, 6), 0.5).area == 16
+            tied = np.array([[0.5, 0.5], [0.5, 0.5]])
+            assert max_weight_assignment(tied) == [(0, 0), (1, 1)]
+            assert "scipy.ndimage" in sys.modules and "scipy.optimize" in sys.modules
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(otq.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["corpus"]["otq"] == 1.0
 
 
 class TestEvaluate:

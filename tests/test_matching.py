@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from otq import (
     ValidationError,
     match_trees,
+    matching,
     max_weight_assignment,
     project_flat,
     synthetic_tree,
 )
 
 from conftest import make_tree, random_rect_mask, rect
-from oracles import brute_force_max_total
+from oracles import brute_force_max_total, lsap_assignment
 
 SCALE = 10**12
 
@@ -53,6 +55,66 @@ class TestAssignment:
         assert max_weight_assignment(weights) == [(0, 0), (1, 1)]
         weights = np.array([[0.2, 0.2, 0.2]] * 3)
         assert max_weight_assignment(weights) == [(0, 0), (1, 1), (2, 2)]
+
+
+# Optima of this matrix differ by a 3-cycle, so it has ties no pair swap
+# settles; its row maxima are not distinct, so the solver handles it.
+THREE_CYCLE = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [2, 1, 2, 1], [1, 2, 2, 1]]) / 2
+# Row maxima in distinct columns: the certificate holds.
+CERTIFIED = np.array([[0.9, 0.6, 0.0], [0.7, 0.8, 0.0], [0.0, 0.0, 0.4]])
+
+
+@st.composite
+def weight_matrices(draw, max_side=7):
+    """Non-negative matrices of at most ``max_side`` x ``max_side``, with
+    quarter-step entries (exact ties) or free ones, with a row and a column
+    sometimes copied over another (tied lines) and a row sometimes zeroed."""
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    entry = draw(st.sampled_from([st.integers(0, 4).map(lambda k: k / 4),
+                                  st.floats(0, 1)]))
+    weights = np.array(draw(st.lists(entry, min_size=n_rows * n_cols,
+                                     max_size=n_rows * n_cols)),
+                       dtype=np.float64).reshape(n_rows, n_cols)
+    if n_rows > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n_rows)))[:2]
+        weights[dst] = weights[src]
+    if n_cols > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n_cols)))[:2]
+        weights[:, dst] = weights[:, src]
+    if n_rows and draw(st.booleans()):
+        weights[draw(st.integers(0, n_rows - 1))] = 0
+    return weights
+
+
+class TestAgainstSolver:
+    """The row-maximum certificate returns what the solver plus tie
+    canonicalization return; matrices without it go to the solver."""
+
+    @given(weight_matrices())
+    @example(np.zeros((0, 0)))
+    @example(np.zeros((0, 4)))
+    @example(np.zeros((3, 0)))
+    @example(np.zeros((4, 3)))
+    @example(THREE_CYCLE)
+    @example(CERTIFIED)
+    @example(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    # A tied row beside a zero row: the solver gives it column 1, not 0.
+    @example(np.array([[0.0, 0.0], [0.5, 0.5]]))
+    @example(np.array([[1.0, 0.8], [-0.2, -1.0]]))
+    def test_equals_solver(self, weights):
+        assert max_weight_assignment(weights) == lsap_assignment(weights)
+
+    def test_examples_reach_both_paths(self):
+        def certified(weights):
+            return matching._certified(quantized(weights)) is not None
+
+        assert certified(CERTIFIED) and certified(np.zeros((4, 3)))
+        assert not certified(THREE_CYCLE)
+        assert not certified(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert not certified(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        # A negative weight voids the bound: the solver must fill every row.
+        assert not certified(np.array([[1.0, 0.8], [-0.2, -1.0]]))
 
 
 class TestQuantization:
