@@ -64,19 +64,26 @@ def similarity(proto: SimilarityProtocol, a: str, b: str) -> float:
     return float(proto.default_for_missing)
 
 
-def load_similarity_table(source: str | Path | Iterable[str],
+def load_similarity_table(source: str | Path | Iterable[str | bytes],
                           default_for_missing: float | str = REJECT
                           ) -> SimilarityProtocol:
     """Load a JSONL table of ``{"a": str, "b": str, "sim": float}`` rows.
 
+    Lines given as bytes must be UTF-8; a file is read as such lines.
     Labels are normalized on load; of duplicate unordered pairs the later row
     wins, with a warning.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return load_similarity_table(list(fh), default_for_missing)
     table: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(source, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SimilarityError(
+                    f"line {lineno}: invalid UTF-8 at byte offset {exc.start}") from exc
         if not line.strip():
             continue
         try:

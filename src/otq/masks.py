@@ -7,8 +7,13 @@ difference work on windows and never build a full-canvas array; the same
 technique underlies the RLE-domain geometry of the COCO mask API.  The wire
 format is uncompressed COCO-style RLE: pixels are read in column-major order
 and encoded as space-separated run lengths, with the first run counting
-zeros (possibly 0).  Erosion and dilation give the result of iterated 3x3
-steps, computed from one distance transform over a padded window.
+zeros (possibly 0).  ``rle_decode_all`` decodes the strings of one document
+together: when all of them are canonical text (ASCII digits separated by
+single spaces) it reads and checks their runs in one vectorized pass, and
+every other document is read one string at a time with ``int``, accepting
+whatever ``int`` accepts.  Either way one builder makes the windows.
+Erosion and dilation give the result of iterated 3x3 steps, computed from
+one distance transform over a padded window.
 """
 
 from __future__ import annotations
@@ -177,8 +182,88 @@ def rle_encode(mask: Mask) -> str:
 
 
 def rle_decode(rle: str, width: int, height: int) -> Mask:
-    """Decode canonical uncompressed RLE into a mask on a (height, width)
-    canvas, filling only the columns its foreground runs touch."""
+    """Decode one uncompressed RLE string into a mask on a (height, width)
+    canvas: the one-string case of ``rle_decode_all``.  A canonical string
+    (ASCII digits separated by single spaces) takes the vectorized pass;
+    any other, e.g. with tabs, ``+3`` or non-ASCII digits, is read with
+    ``int`` and accepted if ``int`` accepts its tokens."""
+    return rle_decode_all([rle], width, height)[0]
+
+
+def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
+    """Decode the RLE strings of one document, all on a (height, width)
+    canvas, into masks in the same order.
+
+    When every string is canonical text (ASCII digits separated by single
+    spaces) and the canvas has fewer than 2**31 pixels, the runs of all
+    strings are read and checked in one vectorized pass.  Every other
+    document (tabs, ``+3``, non-ASCII digits, a bad run) is read one string
+    at a time with ``int``, which accepts what Python's ``int`` accepts.
+    Either way the checks are the same: canvas sides are non-negative, every
+    run after the first is at least 1, and a string's runs sum to
+    width * height.  The ``RleError`` raised is that of the first bad
+    string, and its ``index`` attribute is that string's position.  A
+    document whose strings together cover 2**62 pixels or more is refused
+    at index 0, as its pixel offsets would not fit in 64 bits.
+    """
+    if not rles:
+        return []
+    counts = [s.count(" ") + 1 for s in rles]
+    runs = _canonical_runs(rles, counts, width, height)
+    if runs is None:
+        parsed = []
+        for i, rle in enumerate(rles):
+            try:
+                parsed.append(_parse_runs(rle, width, height))
+            except RleError as exc:
+                exc.index = i
+                raise
+        if len(rles) * width * height >= 2**62:
+            exc = RleError(f"canvas {width}x{height} is too large to decode")
+            exc.index = 0
+            raise exc
+        counts = [len(r) for r in parsed]
+        runs = np.array([r for rs in parsed for r in rs], dtype=np.int64)
+    return _build_masks(runs, counts, width, height)
+
+
+def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
+                    height: int) -> np.ndarray | None:
+    """The runs of all strings, concatenated, if the strings are canonical
+    text holding valid runs on a canvas of fewer than 2**31 pixels (so no
+    sum overflows); None otherwise.  String i has ``counts[i]`` spaces + 1
+    runs."""
+    size = width * height
+    if width < 0 or height < 0 or size >= 2**31:
+        return None
+    text = " ".join(rles)
+    if not (text.isascii() and text[:1].isdigit() and text[-1:].isdigit()
+            and "  " not in text
+            and not text.encode().translate(None, _CANONICAL_BYTES)):
+        return None
+    runs = np.fromstring(text, dtype=np.int64, sep=" ")
+    del text
+    firsts = np.cumsum(counts) - counts
+    # Runs are not negative, as the text has no sign.  A token past int64
+    # reads as its maximum (``fromstring`` saturates like C's strtoll),
+    # which exceeds ``size``.
+    if (runs.max() > size
+            or np.count_nonzero(runs == 0) > np.count_nonzero(runs[firsts] == 0)
+            or np.any(np.add.reduceat(runs, firsts) != size)):
+        return None
+    return runs
+
+
+# Bytes a canonical RLE document consists of.
+_CANONICAL_BYTES = b"0123456789 "
+# Window pixels built per pass of ``_build_masks``: it bounds the transient
+# buffer, which is as large as the windows it builds.
+_PIXEL_BUDGET = 2**18
+
+
+def _parse_runs(rle: str, width: int, height: int) -> list[int]:
+    """Run lengths of one RLE string, read with ``int``; raises the
+    ``RleError`` of its first fault."""
     if width < 0 or height < 0:
         raise RleError(f"canvas size must not be negative, got {width}x{height}")
     tokens = rle.split()
@@ -190,27 +275,90 @@ def rle_decode(rle: str, width: int, height: int) -> Mask:
         raise RleError(f"non-integer run length in RLE: {exc}") from exc
     if runs[0] < 0:
         raise RleError("negative leading run length")
-    if any(r < 1 for r in runs[1:]):
+    if min(runs[1:], default=1) < 1:
         raise RleError("zero or negative run length after the first run")
     total = sum(runs)
     if total != width * height:
         raise RleError(
             f"RLE covers {total} pixels, canvas has {width * height}")
-    if len(runs) < 2:
-        return Mask._of(height, width, None, _NO_PIXELS, 0)
-    # Runs alternate background and foreground.  Keep those up to the last
-    # foreground run, re-based to start at the first touched column and
-    # padded to the end of the last one.
-    span = runs[:len(runs) // 2 * 2]
-    stop = sum(span)
-    col0, col1 = runs[0] // height, (stop - 1) // height + 1
-    span[0] -= col0 * height
-    span.append(col1 * height - stop)
-    columns = np.repeat(np.arange(len(span)) % 2 == 1, span).reshape(col1 - col0, height)
-    rows = np.flatnonzero(columns.any(axis=0))
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    return Mask._of(height, width, (r0, r1, col0, col1),
-                    np.array(columns[:, r0:r1].T, order="C"), sum(span[1::2]))
+    return runs
+
+
+def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For groups of the given lengths laid end to end: each element's group
+    and its index within the group."""
+    group = np.repeat(np.arange(lengths.size), lengths)
+    return group, np.arange(group.size) - (np.cumsum(lengths) - lengths)[group]
+
+
+def _build_masks(runs: np.ndarray, counts: list[int], width: int,
+                 height: int) -> list[Mask]:
+    """Masks of valid RLE strings whose runs, ``counts[i]`` of them for
+    string i, are concatenated in ``runs``.
+
+    String i covers pixels [i * size, (i + 1) * size) of the concatenation,
+    which is a canvas of all strings side by side.  Foreground runs are
+    split at its column boundaries into segments; each mask's tight bbox and
+    area are reduced over its segments, and its window is filled by a +1/-1
+    difference array and a cumulative sum, a budget of pixels at a time.
+    """
+    lengths = np.array(counts)
+    # Runs alternate background and foreground: string i's foreground runs
+    # are its odd-numbered ones.
+    owner, k = _spread(lengths // 2)
+    fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
+    # Masks are immutable, so the empty ones can be one object.
+    masks = [Mask._of(height, width, None, _NO_PIXELS, 0)] * len(counts)
+    if fg.size == 0:
+        return masks
+    ends = np.cumsum(runs)
+    start, stop = ends[fg - 1], ends[fg]
+    del ends, fg, k
+    col0 = start // height
+    run, k = _spread((stop - 1) // height + 1 - col0)
+    col = col0[run] + k
+    top = np.maximum(start[run] - col * height, 0)
+    bottom = np.minimum(stop[run] - col * height, height)
+    owner = owner[run]
+    col -= owner * width
+    del start, stop, col0, run, k
+    # Segments come grouped by mask, and ordered by column within a mask.
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    r0 = np.minimum.reduceat(top, first)
+    r1 = np.maximum.reduceat(bottom, first)
+    c0 = col[first]
+    c1 = col[np.append(first[1:], col.size) - 1] + 1
+    area = np.add.reduceat(bottom - top, first)
+    # Window j is laid out column by column in ``slots[j]`` cells, one
+    # past each column's last row, so that a column's +1s and -1s cancel
+    # and one cumulative sum fills many windows.
+    rows = r1 - r0
+    slots = (rows + 1) * (c1 - c0)
+    offset = np.cumsum(slots) - slots
+    win = np.repeat(np.arange(first.size), np.diff(first, append=col.size))
+    base = offset[win] + (col - c0[win]) * (rows[win] + 1) - r0[win]
+    del col, win
+    lo, hi = top + base, bottom + base
+    del top, bottom, base
+    edge = [*first.tolist(), lo.size]
+    stops = (offset + slots).tolist()
+    batch = [*np.flatnonzero(np.diff(offset // _PIXEL_BUDGET, prepend=-1)).tolist(),
+             first.size]
+    info = list(zip(owner[first].tolist(), r0.tolist(), r1.tolist(), c0.tolist(),
+                    c1.tolist(), area.tolist(), offset.tolist()))
+    for j0, j1 in zip(batch, batch[1:]):
+        at = info[j0][-1]
+        buf = np.zeros(stops[j1 - 1] - at, dtype=np.int8)
+        buf[lo[edge[j0]:edge[j1]] - at] = 1
+        buf[hi[edge[j0]:edge[j1]] - at] = -1
+        np.add.accumulate(buf, out=buf)
+        pixels = buf.view(bool)
+        for i, a, b, c, d, px, off in info[j0:j1]:
+            h = b - a
+            column_major = pixels[off - at:off - at + (h + 1) * (d - c)].reshape(d - c, h + 1)
+            masks[i] = Mask._of(height, width, (a, b, c, d),
+                                np.array(column_major[:, :h].T, order="C"), px)
+    return masks
 
 
 def _require_same_canvas(a: Mask, b: Mask) -> None:

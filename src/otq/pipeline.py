@@ -325,11 +325,14 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
     root itself).  Sides are at least 1, limits at least 0, and every mask
     is non-empty.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: malformed JSON: {exc.msg}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: malformed JSON: {exc.msg}") from exc
 
     def require(cond: bool, key: str, what: str) -> None:
         if not cond:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
-from .masks import Mask
+from .masks import Mask, rle_decode_all
 
 ROOT_ID = -1
 
@@ -185,8 +185,8 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_tree(document: str | bytes) -> OpenTree:
-    """Parse and fully validate one per-image JSON document."""
+def _payload(document: str | bytes) -> object:
+    """The JSON value of a document, which may be UTF-8 bytes."""
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")
@@ -194,11 +194,37 @@ def parse_tree(document: str | bytes) -> OpenTree:
             raise SchemaError(
                 f"invalid UTF-8 at byte offset {exc.start}") from exc
     try:
-        payload = json.loads(document)
+        return json.loads(document)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
 
+
+def _node_fields(i: int, raw: object) -> tuple[int, str, int | None, str]:
+    """(id, label, parent, rle) of the i-th raw node; messages are built only
+    for a node that fails."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"nodes[{i}] must be an object")
+    nid, label, parent, rle = raw.get("id"), raw.get("label"), raw.get("parent"), raw.get("rle")
+    if not _is_int(nid):
+        raise SchemaError(f"nodes[{i}].id must be an integer")
+    if not isinstance(label, str):
+        raise SchemaError(f"node {nid}: label must be a string")
+    if not (parent is None or _is_int(parent)):
+        raise SchemaError(f"node {nid}: parent must be an integer or null")
+    if not isinstance(rle, str):
+        raise SchemaError(f"node {nid}: rle must be a string")
+    return nid, label, parent, rle
+
+
+def parse_tree(document: str | bytes) -> OpenTree:
+    """Parse and fully validate one per-image JSON document.
+
+    All masks are decoded together by ``masks.rle_decode_all``; the error
+    reported is still that of the first bad node in document order, whether
+    its schema or its RLE is at fault.
+    """
+    payload = _payload(document)
     _require(isinstance(payload, dict), "document must be a JSON object")
     _require(isinstance(payload.get("image_id"), str), "image_id must be a string")
     _require(_is_int(payload.get("width")), "width must be an integer")
@@ -206,27 +232,23 @@ def parse_tree(document: str | bytes) -> OpenTree:
     _require(isinstance(payload.get("nodes"), list), "nodes must be a list")
 
     canvas = ImageCanvas(payload["image_id"], payload["width"], payload["height"])
-    nodes = []
+    fields = []
+    schema_error = None
     for i, raw in enumerate(payload["nodes"]):
-        _require(isinstance(raw, dict), f"nodes[{i}] must be an object")
-        _require(_is_int(raw.get("id")), f"nodes[{i}].id must be an integer")
-        nid = raw["id"]
-        _require(isinstance(raw.get("label"), str), f"node {nid}: label must be a string")
-        parent = raw.get("parent")
-        _require(parent is None or _is_int(parent),
-                 f"node {nid}: parent must be an integer or null")
-        _require(isinstance(raw.get("rle"), str), f"node {nid}: rle must be a string")
         try:
-            mask = Mask.from_rle(raw["rle"], canvas.width, canvas.height)
-        except RleError as exc:
-            raise ValidationError(f"node {nid}: {exc}") from exc
-        nodes.append(InstanceNode(
-            node_id=nid,
-            label=raw["label"],
-            mask=mask,
-            parent_id=ROOT_ID if parent is None else parent,
-        ))
-    return OpenTree(canvas, nodes)
+            fields.append(_node_fields(i, raw))
+        except SchemaError as exc:
+            schema_error = exc
+            break
+    try:
+        masks = rle_decode_all([f[3] for f in fields], canvas.width, canvas.height)
+    except RleError as exc:
+        raise ValidationError(f"node {fields[exc.index][0]}: {exc}") from exc
+    if schema_error is not None:
+        raise schema_error
+    return OpenTree(canvas, [
+        InstanceNode(nid, label, mask, ROOT_ID if parent is None else parent)
+        for (nid, label, parent, _), mask in zip(fields, masks)])
 
 
 def serialize_tree(tree: OpenTree) -> str:
@@ -258,10 +280,20 @@ def located(where: str) -> Iterator[None]:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line) for each non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+def iter_lines(path: str | Path) -> Iterator[tuple[int, str | bytes]]:
+    """Yield (lineno, line) for each non-blank line of a JSONL file.
+
+    Each line is decoded on its own; one that is not valid UTF-8 is yielded
+    as its bytes, which ``parse_tree`` rejects with the offset of the first
+    bad byte, so one bad line does not hide the lines after it.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                yield lineno, raw
+                continue
             if line.strip():
                 yield lineno, line
 
@@ -303,11 +335,8 @@ def corpus_index(path: str | Path) -> dict[str, tuple[str, str]]:
     index: dict[str, tuple[str, str]] = {}
     for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{where}: malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+        with located(where):
+            payload = _payload(line)
         image_id = payload.get("image_id") if isinstance(payload, dict) else None
         if not isinstance(image_id, str):
             raise SchemaError(f"{where}: image_id must be a string")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from otq import ROOT_ID, OpenTree
+from otq import ROOT_ID, OpenTree, RleError
 
 
 def brute_force_max_total(weights: np.ndarray) -> int:
@@ -311,6 +311,27 @@ def dense_rle_decode(rle: str, width: int, height: int) -> np.ndarray:
     runs = [int(t) for t in rle.split()]
     values = (np.arange(len(runs)) % 2).astype(bool)
     return np.repeat(values, runs).reshape((height, width), order="F")
+
+
+def checked_rle_decode(rle: str, width: int, height: int) -> np.ndarray:
+    """``dense_rle_decode`` after validating one string on its own with
+    ``int``, raising ``RleError`` with the library's messages."""
+    if width < 0 or height < 0:
+        raise RleError(f"canvas size must not be negative, got {width}x{height}")
+    tokens = rle.split()
+    if not tokens:
+        raise RleError("empty RLE string")
+    try:
+        runs = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise RleError(f"non-integer run length in RLE: {exc}") from exc
+    if runs[0] < 0:
+        raise RleError("negative leading run length")
+    if any(r < 1 for r in runs[1:]):
+        raise RleError("zero or negative run length after the first run")
+    if sum(runs) != width * height:
+        raise RleError(f"RLE covers {sum(runs)} pixels, canvas has {width * height}")
+    return dense_rle_decode(rle, width, height)
 
 
 def dense_bbox(pixels: np.ndarray) -> tuple[int, int, int, int] | None:

@@ -332,6 +332,61 @@ class TestValidate:
         assert "duplicate image_id" in capsys.readouterr().err
 
 
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is reported with its file, line and offset
+    in the line, with the documented exit code, not as a traceback."""
+
+    @staticmethod
+    def spoil(line: bytes) -> tuple[bytes, int]:
+        """``line`` with a stray 0xff byte opening its first label, and the
+        byte's offset."""
+        spoiled = line.replace(b'"label":"', b'"label":"\xff', 1)
+        return spoiled, spoiled.index(b"\xff")
+
+    @pytest.mark.parametrize("command", ["evaluate", "stats", "degrade", "project-flat"])
+    def test_corpus_line_exits_1(self, corpus_path, tmp_path, capsys, command):
+        lines = corpus_path.read_bytes().splitlines()
+        lines[1], offset = self.spoil(lines[1])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        out = str(tmp_path / "out.jsonl")
+        argv = {
+            "evaluate": ["evaluate", "--pred", str(bad), "--ref", str(corpus_path)],
+            "stats": ["stats", "--in", str(bad)],
+            "degrade": ["degrade", "--kind", "parent_rewire", "--keep", "0.5",
+                        "--in", str(bad), "--out", out],
+            "project-flat": ["project-flat", "--in", str(bad), "--out", out],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"otq: {bad}:2: invalid UTF-8 at byte offset {offset}\n")
+
+    def test_validate_lists_each_line_and_goes_on(self, corpus_path, tmp_path, capsys):
+        lines = corpus_path.read_bytes().splitlines()
+        lines[1], offset1 = self.spoil(lines[1])
+        lines[3], offset3 = self.spoil(lines[3])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["validate", "--in", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"{bad}:2: invalid UTF-8 at byte offset {offset1}\n"
+            f"{bad}:4: invalid UTF-8 at byte offset {offset3}\n")
+
+    def test_similarity_table_line_exits_3(self, corpus_path, tmp_path, capsys):
+        table = tmp_path / "sims.jsonl"
+        table.write_bytes(b'{"a": "x", "b": "y", "sim": 0.5}\n'
+                          b'{"a": "\xc3", "b": "y", "sim": 0.5}\n')
+        assert main(["evaluate", "--pred", str(corpus_path), "--ref", str(corpus_path),
+                     "--label-sim", f"table:{table}"]) == 3
+        assert "line 2: invalid UTF-8 at byte offset 7" in capsys.readouterr().err
+
+    def test_scene_script_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_bytes(b'{"image_id": "\xe2\x82", "width": 4, "height": 4}')
+        assert main(["pipeline", "--script", str(path)]) == 1
+        assert capsys.readouterr().err == f"otq: {path}: invalid UTF-8 at byte offset 14\n"
+
+
 class TestPipelineCommand:
     def test_scene_script(self, tmp_path, capsys):
         ground = rect(24, 18, 12, 0, 6, 24)

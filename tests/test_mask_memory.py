@@ -41,10 +41,34 @@ def test_parse_of_large_canvas_peaks_near_object_size():
     assert peak < 8 * 2**20, f"parse peaked at {peak / 2**20:.1f} MiB"
 
 
+def test_parse_of_large_windows_adds_little_to_them():
+    # 60 nested rectangles on 1024x768, from the full canvas down by one
+    # pixel per side each: about 39 MiB of windows.  Building them all in one
+    # buffer before copying them out would double that.
+    width, height = 1024, 768
+    nodes = [InstanceNode(i + 1, "thing",
+                          Mask.from_rect(width, height, i, i, height - 2 * i, width - 2 * i),
+                          ROOT_ID if i == 0 else i)
+             for i in range(60)]
+    line = serialize_tree(OpenTree(ImageCanvas("nested", width, height), nodes))
+
+    tracemalloc.start()
+    try:
+        tree = parse_tree(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    windows = sum(node.mask.window.nbytes for node in tree.nodes.values())
+    assert windows > 38 * 2**20
+    assert peak < windows + 8 * 2**20, (
+        f"parse peaked at {peak / 2**20:.1f} MiB for {windows / 2**20:.1f} MiB of windows")
+
+
 def test_dilation_on_large_canvas_peaks_near_object_size():
     # A 10x10 rectangle grown to 4x its area on a 2048x2048 canvas; a
     # full-canvas distance transform would take tens of MiB.
     mask = Mask.from_rect(2048, 2048, 1000, 1000, 10, 10)
+    dilate(mask, 4.0)  # loads scipy.ndimage outside the traced region
     tracemalloc.start()
     try:
         grown = dilate(mask, 4.0)

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -25,10 +25,11 @@ from otq import (
     size_bin,
     union_masks,
 )
-from otq.masks import overlapping_pairs
+from otq.masks import overlapping_pairs, rle_decode_all
 
 from conftest import rect
 from oracles import (
+    checked_rle_decode,
     dense_bbox,
     dense_containment,
     dense_intersection_area,
@@ -89,6 +90,12 @@ class TestRle:
         # The product of two negative sides matches the run total.
         with pytest.raises(RleError, match="must not be negative"):
             rle_decode("0 6", -2, -3)
+
+    def test_rejects_canvas_too_large_to_index(self):
+        # Valid runs, but pixel offsets of 2**62 and more would not fit in
+        # the decoder's 64-bit arithmetic.
+        with pytest.raises(RleError, match="canvas 2147483648x2147483648 is too large"):
+            rle_decode(f"0 1 {2**62 - 1}", 2**31, 2**31)
 
     def test_rejects_garbage(self):
         with pytest.raises(RleError):
@@ -447,3 +454,77 @@ def test_intersection_area_matches_dense_and():
         a = Mask(rng.random((9, 7)) < 0.5)
         b = Mask(rng.random((9, 7)) < 0.5)
         assert intersection_area(a, b) == int(np.count_nonzero(a.pixels & b.pixels))
+
+
+# Ways to spoil a canonical RLE string.  Some keep it valid for ``int`` but
+# not canonical (tabs, odd spacing, signs, leading zeros, non-ASCII digits,
+# long tokens), so the document is read one string at a time; others make
+# it invalid.
+_SPOILERS = {
+    "tab": lambda rle: rle.replace(" ", "\t", 1) if " " in rle else "\t" + rle,
+    "double space": lambda rle: rle.replace(" ", "  ", 1),
+    "leading space": lambda rle: " " + rle,
+    "trailing space": lambda rle: rle + " ",
+    "plus": lambda rle: "+" + rle,
+    "leading zeros": lambda rle: "007" + rle,
+    "arabic digit": lambda rle: rle[:-1] + chr(0x660 + int(rle[-1])),
+    "long token": lambda rle: "0" * 20 + rle,
+    "empty": lambda rle: "",
+    "wrong total": lambda rle: rle + " 1",
+    "zero interior run": lambda rle: rle.replace(" ", " 0 ", 1) if " " in rle else rle + " 0",
+    "word": lambda rle: rle + " two",
+    # Twenty-digit tokens exceed int64; two of them, read as the int64
+    # maximum, wrap a 64-bit total back by 2.
+    "int64 wrap": lambda rle: f"{'9' * 20} {'9' * 20} {sum(map(int, rle.split())) + 2}",
+}
+
+
+@st.composite
+def rle_documents(draw):
+    """(rles, width, height): one to five strings on a drawn canvas, most
+    of them canonical encodings of drawn masks, some spoiled."""
+    if draw(st.integers(0, 9)) == 0:
+        height, width = draw(st.sampled_from([(-3, -2), (2, -3), (-1, 0)]))
+        base = [draw(st.sampled_from(["0 6", "6", "1 2 3"]))]
+    else:
+        height, width = draw(canvases)
+        base = [dense_rle_encode(draw(pixels_on(height, width)))
+                for _ in range(draw(st.integers(1, 5)))]
+    spoilers = st.sampled_from([None] * 8 + sorted(_SPOILERS))
+    rles = []
+    for rle in base:
+        spoiler = draw(spoilers)
+        rles.append(rle if spoiler is None else _SPOILERS[spoiler](rle))
+    return rles, width, height
+
+
+class TestDocumentDecode:
+    """``rle_decode_all`` against ``oracles.checked_rle_decode``, which
+    validates one string at a time."""
+
+    @settings(max_examples=400)
+    @given(rle_documents())
+    def test_matches_string_at_a_time(self, document):
+        rles, width, height = document
+        expected = []
+        for i, rle in enumerate(rles):
+            try:
+                expected.append(checked_rle_decode(rle, width, height))
+            except RleError as exc:
+                with pytest.raises(RleError) as raised:
+                    rle_decode_all(rles, width, height)
+                assert (raised.value.index, str(raised.value)) == (i, str(exc))
+                with pytest.raises(RleError) as raised:
+                    rle_decode(rle, width, height)
+                assert str(raised.value) == str(exc)
+                return
+        masks = rle_decode_all(rles, width, height)
+        assert len(masks) == len(rles)
+        for rle, mask, pixels in zip(rles, masks, expected):
+            assert mask == Mask(pixels) == rle_decode(rle, width, height)
+            assert mask.area == int(np.count_nonzero(pixels))
+            assert mask.window.flags.c_contiguous and not mask.window.flags.writeable
+
+    def test_empty_document(self):
+        assert rle_decode_all([], 4, 3) == []
+

@@ -109,6 +109,18 @@ class TestParse:
         with pytest.raises(ValidationError, match="node 7"):
             parse_tree(bad)
 
+    def test_first_bad_node_in_document_order_is_reported(self):
+        def nodes(bad_rle, no_label):
+            out = [node_json(i, "a", None, rect(8, 8, 0, 0, 2, 2)) for i in range(1, 7)]
+            out[bad_rle - 1]["rle"] = "0 3"
+            del out[no_label - 1]["label"]
+            return out
+
+        with pytest.raises(ValidationError, match="^node 2: RLE covers 3 pixels"):
+            parse_tree(doc(nodes(bad_rle=2, no_label=5)))
+        with pytest.raises(SchemaError, match="^node 2: label must be a string"):
+            parse_tree(doc(nodes(bad_rle=5, no_label=2)))
+
     def test_bad_field_types(self):
         with pytest.raises(SchemaError):
             parse_tree(json.dumps({"image_id": 3, "width": 8, "height": 8,
