@@ -341,14 +341,18 @@ def _build_masks(runs: np.ndarray, counts: list[int], width: int,
     lo, hi = top + base, bottom + base
     del top, bottom, base
     edge = [*first.tolist(), lo.size]
-    stops = (offset + slots).tolist()
-    batch = [*np.flatnonzero(np.diff(offset // _PIXEL_BUDGET, prepend=-1)).tolist(),
-             first.size]
+    # Windows that start within one budget of each other are built together,
+    # all in one buffer, so that no freed buffer leaves a hole among them.
+    j0 = np.flatnonzero(np.diff(offset // _PIXEL_BUDGET, prepend=-1))
+    j1 = np.append(j0[1:], first.size)
+    batches = list(zip(j0.tolist(), j1.tolist(), offset[j0].tolist(),
+                       (offset + slots)[j1 - 1].tolist()))
+    scratch = np.empty(max(end - at for _, _, at, end in batches), dtype=np.int8)
     info = list(zip(owner[first].tolist(), r0.tolist(), r1.tolist(), c0.tolist(),
                     c1.tolist(), area.tolist(), offset.tolist()))
-    for j0, j1 in zip(batch, batch[1:]):
-        at = info[j0][-1]
-        buf = np.zeros(stops[j1 - 1] - at, dtype=np.int8)
+    for j0, j1, at, end in batches:
+        buf = scratch[:end - at]
+        buf[:] = 0
         buf[lo[edge[j0]:edge[j1]] - at] = 1
         buf[hi[edge[j0]:edge[j1]] - at] = -1
         np.add.accumulate(buf, out=buf)
