@@ -231,8 +231,8 @@ def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
                     height: int) -> np.ndarray | None:
     """The runs of all strings, concatenated, if the strings are canonical
     text holding valid runs on a canvas of fewer than 2**31 pixels (so no
-    sum overflows); None otherwise.  String i has ``counts[i]`` spaces + 1
-    runs."""
+    sum overflows); None otherwise.  ``counts[i]`` is one more than the
+    number of spaces in string i: its run count if it is canonical."""
     size = width * height
     if width < 0 or height < 0 or size >= 2**31:
         return None
@@ -256,8 +256,8 @@ def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
 
 # Bytes a canonical RLE document consists of.
 _CANONICAL_BYTES = b"0123456789 "
-# Window pixels built per pass of ``_build_masks``: it bounds the transient
-# buffer, which is as large as the windows it builds.
+# Window cells ``_build_masks`` fills per batch: the one buffer its batches
+# share holds at most this many plus one window.
 _PIXEL_BUDGET = 2**18
 
 
