@@ -1,5 +1,7 @@
 """Degradation audit grids: corrupt a reference corpus, score it against
-itself, and tabulate one row per (kind, keep ratio)."""
+itself, and tabulate one row per (kind, keep ratio).  Rows are the
+``GRID_FIELDS`` of each corpus report; the text table is aligned by
+``metric.align_columns``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .degrade import KINDS, SWEEP_KEEP_RATIOS, DegradeSpec, degrade_tree
 from .labels import SimilarityProtocol
-from .metric import METRIC_FIELDS, evaluate_corpus
+from .metric import METRIC_FIELDS, align_columns, evaluate_corpus
 from .tree import OpenTree
 
 GRID_FIELDS = ("kind", "keep") + METRIC_FIELDS + ("tp", "fp", "fn")
@@ -21,9 +23,7 @@ def audit_grid(trees: Iterable[OpenTree], proto: SimilarityProtocol,
     """One row per degradation kind and keep ratio, plus the untouched
     baseline row; pairs are scored at the default node threshold."""
     trees = list(trees)
-    rows = []
-    baseline = evaluate_corpus(((t, t) for t in trees), proto)
-    rows.append(_row("none", 1.0, baseline))
+    rows = [_row("none", 1.0, evaluate_corpus(((t, t) for t in trees), proto))]
     for kind in KINDS:
         for keep in keep_ratios:
             spec = DegradeSpec(kind=kind, keep_ratio=keep, seed=seed)
@@ -34,31 +34,19 @@ def audit_grid(trees: Iterable[OpenTree], proto: SimilarityProtocol,
 
 
 def _row(kind: str, keep: float, report) -> dict:
-    row = {"kind": kind, "keep": keep}
-    for name in METRIC_FIELDS:
-        row[name] = getattr(report, name)
-    for name in ("tp", "fp", "fn"):
-        row[name] = getattr(report, name)
-    return row
+    return {"kind": kind, "keep": keep,
+            **{name: getattr(report, name) for name in GRID_FIELDS[2:]}}
 
 
 def grid_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=GRID_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def grid_to_table(rows: list[dict]) -> str:
-    header = tuple(GRID_FIELDS)
-    cells = [[str(r["kind"]), f"{r['keep']:.2f}"]
-             + [f"{r[f]:.3f}" for f in METRIC_FIELDS]
-             + [str(r[f]) for f in ("tp", "fp", "fn")] for r in rows]
-    widths = [max(len(header[i]), *(len(c[i]) for c in cells))
-              for i in range(len(header))]
-    lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header)))]
-    for row in cells:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    return "\n".join(lines) + "\n"
+    return align_columns([GRID_FIELDS] + [
+        [str(r["kind"]), f"{r['keep']:.2f}"] + [f"{r[f]:.3f}" for f in METRIC_FIELDS]
+        + [str(r[f]) for f in ("tp", "fp", "fn")] for r in rows])

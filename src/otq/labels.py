@@ -11,14 +11,13 @@ default 1.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import SimilarityError
-from .tree import normalize_label
+from .errors import SchemaError, SimilarityError
+from .tree import _payload, iter_lines, normalize_label
 
 log = logging.getLogger(__name__)
 
@@ -69,27 +68,17 @@ def load_similarity_table(source: str | Path | Iterable[str | bytes],
                           ) -> SimilarityProtocol:
     """Load a JSONL table of ``{"a": str, "b": str, "sim": float}`` rows.
 
-    Lines given as bytes must be UTF-8; a file is read as such lines.
-    Labels are normalized on load; of duplicate unordered pairs the later row
-    wins, with a warning.
+    ``source`` is a path or ``str``/``bytes`` lines, split and decoded by
+    ``tree.iter_lines`` and ``tree._payload``, whose errors are re-raised as
+    ``SimilarityError("line N: ...")``.  Labels are normalized on load; of
+    duplicate unordered pairs the later row wins, with a warning.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return load_similarity_table(list(fh), default_for_missing)
     table: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SimilarityError(
-                    f"line {lineno}: invalid UTF-8 at byte offset {exc.start}") from exc
-        if not line.strip():
-            continue
+    for lineno, line in iter_lines(source):
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SimilarityError(f"line {lineno}: malformed JSON: {exc.msg}") from exc
+            row = _payload(line)
+        except SchemaError as exc:
+            raise SimilarityError(f"line {lineno}: {exc}") from exc
         if (not isinstance(row, dict) or not isinstance(row.get("a"), str)
                 or not isinstance(row.get("b"), str)
                 or not isinstance(row.get("sim"), (int, float))

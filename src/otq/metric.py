@@ -18,9 +18,11 @@ the node attaches to the highest-IoU such mask; with no qualifying level it
 attaches to the root.  Ties break toward the smaller node id.
 
 With zero TP matches the per-image report is all zeros except the counts.
-Corpus records average TQ/BQ/meanNQ/MQ/LQ per image (macro) or weight them
-by TP and pair counts (micro); corpus OTQ is always the product of corpus
-TQ and corpus meanNQ.
+Corpus records (``aggregate_reports``) take one weighted mean per field:
+weight 1 per image (macro), or its TP count for meanNQ/MQ/LQ and pair count
+for BQ (micro, whose TQ comes from the summed counts); corpus OTQ is always
+the product of corpus TQ and corpus meanNQ.  Corpora are paired by
+``tree.pair_by_image_id``; text tables are aligned by ``align_columns``.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CorpusError
 from .labels import SimilarityProtocol, similarity
 # perfbench's tracer wraps intersection_area at this attribute.
 from .masks import Mask, intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
-from .tree import ROOT_ID, OpenTree, corpus_index, located, parse_tree
+from .tree import ROOT_ID, OpenTree, corpus_index, located, pair_by_image_id, parse_tree
 
 METRIC_FIELDS = ("otq", "tq", "bq", "mean_nq", "mq", "lq")
 COUNT_FIELDS = ("tp", "fp", "fn", "n_pairs")
+AGGREGATIONS = ("macro", "micro")
 
 
 @dataclass
@@ -68,9 +71,7 @@ class OtqReport:
         record: dict = {}
         if self.image_id is not None:
             record["image_id"] = self.image_id
-        for name in METRIC_FIELDS:
-            record[name] = getattr(self, name)
-        for name in COUNT_FIELDS:
+        for name in METRIC_FIELDS + COUNT_FIELDS:
             record[name] = getattr(self, name)
         return record
 
@@ -185,10 +186,11 @@ def branch_quality(skel_pred: Skeleton, skel_ref: Skeleton,
 
 def tree_quality(bq: float, match: MatchResult) -> float:
     """BQ scaled by the PQ-style recovery ratio; 0 with no TP matches."""
-    tp, fp, fn = match.tp_count, match.fp_count, match.fn_count
-    if tp == 0:
-        return 0.0
-    return bq * tp / (tp + 0.5 * fp + 0.5 * fn)
+    return _tree_quality(bq, match.tp_count, match.fp_count, match.fn_count)
+
+
+def _tree_quality(bq: float, tp: int, fp: int, fn: int) -> float:
+    return bq * tp / (tp + 0.5 * fp + 0.5 * fn) if tp else 0.0
 
 
 def evaluate_image(pred: OpenTree, ref: OpenTree, proto: SimilarityProtocol,
@@ -211,44 +213,38 @@ def evaluate_image(pred: OpenTree, ref: OpenTree, proto: SimilarityProtocol,
                      image_id=image_id)
 
 
+def _require_aggregation(aggregate: str) -> None:
+    if aggregate not in AGGREGATIONS:
+        raise ValueError(f"aggregate must be {' or '.join(map(repr, AGGREGATIONS))}, "
+                         f"got {aggregate!r}")
+
+
 def aggregate_reports(records: list[OtqReport],
                       aggregate: str = "macro") -> OtqReport:
     """Corpus record from per-image records (sorted by image_id first).
 
-    macro: unweighted per-image means of TQ/BQ/meanNQ/MQ/LQ.
-    micro: meanNQ/MQ/LQ weighted by TP counts, BQ by TP pair counts, and the
-    recovery ratio computed from summed counts.
-    Either way the corpus OTQ is corpus TQ times corpus meanNQ, and counts
-    are summed.
+    Each of TQ/BQ/meanNQ/MQ/LQ is ``sum(value * weight) / sum(weight)``, 0
+    when the weights sum to 0: weight 1 under macro; under micro the TP
+    count (meanNQ/MQ/LQ) or pair count (BQ, 1 if TP nodes exist but no pair
+    does), with TQ from the summed counts.  Corpus OTQ is corpus TQ times
+    corpus meanNQ; counts are summed.
     """
+    _require_aggregation(aggregate)
     records = sorted(records, key=lambda r: r.image_id or "")
-    tp = sum(r.tp for r in records)
-    fp = sum(r.fp for r in records)
-    fn = sum(r.fn for r in records)
-    n_pairs = sum(r.n_pairs for r in records)
-    if not records:
-        return OtqReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, per_image=[])
+    tp, fp, fn, n_pairs = (sum(getattr(r, f) for r in records) for f in COUNT_FIELDS)
+
+    def mean(name: str, weight: str | None = None) -> float:
+        weights = [1 if weight is None else getattr(r, weight) for r in records]
+        total = sum(weights)
+        return (sum(getattr(r, name) * w for r, w in zip(records, weights)) / total
+                if total else 0.0)
+
     if aggregate == "macro":
-        n = len(records)
-        tq = sum(r.tq for r in records) / n
-        bq = sum(r.bq for r in records) / n
-        mean_nq = sum(r.mean_nq for r in records) / n
-        mq = sum(r.mq for r in records) / n
-        lq = sum(r.lq for r in records) / n
-    elif aggregate == "micro":
-        if tp > 0:
-            mean_nq = sum(r.mean_nq * r.tp for r in records) / tp
-            mq = sum(r.mq * r.tp for r in records) / tp
-            lq = sum(r.lq * r.tp for r in records) / tp
-            if n_pairs > 0:
-                bq = sum(r.bq * r.n_pairs for r in records) / n_pairs
-            else:
-                bq = 1.0
-            tq = bq * tp / (tp + 0.5 * fp + 0.5 * fn)
-        else:
-            mean_nq = mq = lq = bq = tq = 0.0
+        tq, bq, mean_nq, mq, lq = map(mean, ("tq", "bq", "mean_nq", "mq", "lq"))
     else:
-        raise ValueError(f"aggregate must be 'macro' or 'micro', got {aggregate!r}")
+        mean_nq, mq, lq = (mean(name, "tp") for name in ("mean_nq", "mq", "lq"))
+        bq = mean("bq", "n_pairs") if n_pairs else float(tp > 0)
+        tq = _tree_quality(bq, tp, fp, fn)
     return OtqReport(otq=tq * mean_nq, tq=tq, bq=bq, mean_nq=mean_nq,
                      mq=mq, lq=lq, tp=tp, fp=fp, fn=fn, n_pairs=n_pairs,
                      per_image=records)
@@ -285,8 +281,10 @@ def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
     errors scoring the pair with the image id and both sides.  With
     ``jobs <= 1`` pairs are consumed lazily; otherwise a process pool scores
     them.  Records are reduced in sorted image_id order, so the report is
-    identical at any ``jobs``.  Repeated image ids raise ``CorpusError``.
+    identical at any ``jobs``.  Repeated image ids raise ``CorpusError``;
+    an unknown ``aggregate`` raises ``ValueError`` before any pair is scored.
     """
+    _require_aggregation(aggregate)
     score = partial(_score_pair, proto=proto, tau=tau)
     if jobs > 1:
         pairs = list(pairs)
@@ -313,19 +311,8 @@ def evaluate_corpus_files(pred_path: str | Path, ref_path: str | Path,
 
     The image id sets of the two files must match exactly.
     """
-    pred_index = corpus_index(pred_path)
-    ref_index = corpus_index(ref_path)
-    missing_ref = sorted(set(pred_index) - set(ref_index))
-    missing_pred = sorted(set(ref_index) - set(pred_index))
-    if missing_ref or missing_pred:
-        parts = []
-        if missing_ref:
-            parts.append(f"predictions without references: {missing_ref[:10]}")
-        if missing_pred:
-            parts.append(f"references without predictions: {missing_pred[:10]}")
-        raise CorpusError("; ".join(parts))
-    pairs = [(pred_index[image_id], ref_index[image_id])
-             for image_id in sorted(pred_index)]
+    pairs = pair_by_image_id(corpus_index(pred_path), corpus_index(ref_path),
+                             "predictions", "references")
     return evaluate_corpus(pairs, proto, tau, aggregate, jobs=jobs)
 
 
@@ -338,27 +325,26 @@ def report_to_csv(report: OtqReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("image_id",) + METRIC_FIELDS + COUNT_FIELDS)
-    for rec in report.per_image or []:
-        writer.writerow([rec.image_id]
-                        + [repr(getattr(rec, f)) for f in METRIC_FIELDS]
-                        + [getattr(rec, f) for f in COUNT_FIELDS])
-    writer.writerow(["corpus"]
-                    + [repr(getattr(report, f)) for f in METRIC_FIELDS]
-                    + [getattr(report, f) for f in COUNT_FIELDS])
+    writer.writerows([name] + [repr(getattr(rec, f)) for f in METRIC_FIELDS]
+                     + [getattr(rec, f) for f in COUNT_FIELDS]
+                     for name, rec in [(r.image_id, r) for r in report.per_image or []]
+                     + [("corpus", report)])
     return buf.getvalue()
+
+
+def align_columns(rows: Sequence[Sequence[str]]) -> str:
+    """Text table of ``rows`` (the header first): each cell left-aligned to
+    its column's widest, two spaces apart, one line per row."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n"
+                   for row in rows)
 
 
 def report_to_table(report: OtqReport) -> str:
     """Aligned text table of the corpus record and per-image records."""
     header = ("image_id",) + tuple(f.upper() for f in METRIC_FIELDS) + COUNT_FIELDS
-    rows = []
-    for rec in (report.per_image or []) + [report]:
-        name = rec.image_id if rec.image_id is not None else "corpus"
-        rows.append([name] + [f"{getattr(rec, f):.4f}" for f in METRIC_FIELDS]
-                    + [str(getattr(rec, f)) for f in COUNT_FIELDS])
-    widths = [max(len(str(h)), *(len(r[i]) for r in rows))
-              for i, h in enumerate(header)]
-    lines = ["  ".join(str(h).ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    return "\n".join(lines) + "\n"
+    return align_columns([header] + [
+        ["corpus" if rec.image_id is None else rec.image_id]
+        + [f"{getattr(rec, f):.4f}" for f in METRIC_FIELDS]
+        + [str(getattr(rec, f)) for f in COUNT_FIELDS]
+        for rec in (report.per_image or []) + [report]])

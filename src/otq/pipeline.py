@@ -25,7 +25,6 @@ description ship with the package (real models are out of scope here).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import PipelineError, RleError, SchemaError, ValidationError
 from .masks import (Mask, containment, intersection_area, iou, mask_difference,
                     overlapping_pairs, union_masks)
-from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree, _is_int
+from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree, _is_int, _payload, located
 
 OTHERS_LABEL = "others"
 
@@ -325,14 +324,8 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
     root itself).  Sides are at least 1, limits at least 0, and every mask
     is non-empty.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc.msg}") from exc
+    with located(str(path)):
+        payload = _payload(Path(path).read_bytes())
 
     def require(cond: bool, key: str, what: str) -> None:
         if not cond:

@@ -9,6 +9,8 @@ multiset, recovers an external flat reference: per reference mask the best
 candidate is consumed greedily by IoU (one-to-one), then mean/median IoU
 over matched references and average recall over the IoU thresholds
 0.50:0.05:0.95 (plus AR@50/AR@75 and per-size-bin AR) are reported.
+Each side's masks are grouped per image by ``_masks_by_image`` and the
+two sides paired by ``tree.pair_by_image_id``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import CorpusError
 from .masks import Mask, SizeBin, iou, overlapping_pairs, size_bin
-from .tree import OpenTree
+from .tree import OpenTree, pair_by_image_id
 
 DEPTH_ROWS = ("1", "2", "3", "4+")
 BIN_COLS = ("All", "XS", "S*", "M", "L")
@@ -138,37 +140,25 @@ def _greedy_match(ref_masks: list[Mask],
     return matched
 
 
+def _masks_by_image(trees: Iterable[OpenTree]) -> dict[str, list[Mask]]:
+    """Each tree's masks under its image id; a repeated id raises ``CorpusError``."""
+    by_image: dict[str, list[Mask]] = {}
+    for tree in trees:
+        if tree.canvas.image_id in by_image:
+            raise CorpusError(f"duplicate image_id '{tree.canvas.image_id}'")
+        by_image[tree.canvas.image_id] = [n.mask for n in tree.nodes.values()]
+    return by_image
+
+
 def compat_eval(candidates: Iterable[OpenTree],
                 references: Iterable[OpenTree]) -> CompatReport:
     """Candidate trees (flattened to all their masks) vs flat references."""
-    cand_by_image: dict[str, list[Mask]] = {}
-    for tree in candidates:
-        if tree.canvas.image_id in cand_by_image:
-            raise CorpusError(f"duplicate image_id '{tree.canvas.image_id}'")
-        cand_by_image[tree.canvas.image_id] = [
-            n.mask for n in tree.nodes.values()]
-    ref_by_image: dict[str, list[Mask]] = {}
-    for tree in references:
-        if tree.canvas.image_id in ref_by_image:
-            raise CorpusError(f"duplicate image_id '{tree.canvas.image_id}'")
-        ref_by_image[tree.canvas.image_id] = [
-            n.mask for n in tree.nodes.values()]
-    extra = sorted(set(cand_by_image) - set(ref_by_image))
-    missing = sorted(set(ref_by_image) - set(cand_by_image))
-    if extra or missing:
-        parts = []
-        if extra:
-            parts.append(f"candidates without references: {extra[:10]}")
-        if missing:
-            parts.append(f"references without candidates: {missing[:10]}")
-        raise CorpusError("; ".join(parts))
-
+    pairs = pair_by_image_id(_masks_by_image(candidates), _masks_by_image(references),
+                             "candidates", "references")
     matched_ious: list[float] = []
     bins: list[str] = []
-    for image_id in sorted(ref_by_image):
-        refs = ref_by_image[image_id]
-        matched = _greedy_match(refs, cand_by_image[image_id])
-        matched_ious.extend(matched)
+    for cands, refs in pairs:
+        matched_ious.extend(_greedy_match(refs, cands))
         bins.extend(_bin_name(m) for m in refs)
 
     values = np.asarray(matched_ious, dtype=np.float64)

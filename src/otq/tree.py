@@ -12,6 +12,9 @@ Wire format, one JSON document per image::
 
 ``parent: null`` means child-of-root.  A corpus is a JSONL file of such
 documents with unique image ids.
+Every JSON document otq reads is decoded by ``_payload``, every JSONL
+source split by ``iter_lines``, corpora are paired by ``pair_by_image_id``,
+and every file is written by ``write_atomically``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
 from .masks import Mask, rle_decode_all
@@ -280,22 +283,25 @@ def located(where: str) -> Iterator[None]:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def iter_lines(path: str | Path) -> Iterator[tuple[int, str | bytes]]:
-    """Yield (lineno, line) for each non-blank line of a JSONL file.
-
-    Each line is decoded on its own; one that is not valid UTF-8 is yielded
-    as its bytes, which ``parse_tree`` rejects with the offset of the first
-    bad byte, so one bad line does not hide the lines after it.
-    """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+def iter_lines(source: str | Path | Iterable[str | bytes]
+               ) -> Iterator[tuple[int, str | bytes]]:
+    """Yield (lineno, line) for each non-blank line of a JSONL file or of
+    ``str``/``bytes`` lines.  Each line is decoded on its own, before the
+    blank test; one that is not UTF-8 is yielded as its bytes, which
+    ``_payload`` rejects, so one bad line does not hide the lines after it."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield from iter_lines(fh)
+        return
+    for lineno, line in enumerate(source, start=1):
+        if isinstance(line, bytes):
             try:
-                line = raw.decode("utf-8")
+                line = line.decode("utf-8")
             except UnicodeDecodeError:
-                yield lineno, raw
-                continue
-            if line.strip():
                 yield lineno, line
+                continue
+        if line.strip():
+            yield lineno, line
 
 
 def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
@@ -311,18 +317,28 @@ def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
         yield tree
 
 
-def write_corpus(trees: Iterable[OpenTree], path: str | Path) -> int:
-    """Write a JSONL corpus atomically (temp file + rename). Returns the count."""
+def write_atomically(path: str | Path, chunks: Iterable[str]) -> int:
+    """Write UTF-8 text chunks through ``<path>.tmp`` and a rename; returns
+    the chunk count.  On any failure, including one raised by ``chunks``,
+    the temp file is removed and the error re-raised, so ``path`` is either
+    the whole new text or untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     n = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(serialize_tree(tree))
-            fh.write("\n")
-            n += 1
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for n, chunk in enumerate(chunks, start=1):
+                fh.write(chunk)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return n
+
+
+def write_corpus(trees: Iterable[OpenTree], path: str | Path) -> int:
+    """Write a JSONL corpus with ``write_atomically``. Returns the count."""
+    return write_atomically(path, (serialize_tree(t) + "\n" for t in trees))
 
 
 def corpus_index(path: str | Path) -> dict[str, tuple[str, str]]:
@@ -344,6 +360,20 @@ def corpus_index(path: str | Path) -> dict[str, tuple[str, str]]:
             raise CorpusError(f"{where}: duplicate image_id '{image_id}'")
         index[image_id] = (where, line)
     return index
+
+
+def pair_by_image_id(left: Mapping[str, object], right: Mapping[str, object],
+                     left_name: str, right_name: str) -> list[tuple]:
+    """``(left[id], right[id])`` for every image id, in id order.  The id
+    sets must match; ``CorpusError`` names up to ten ids missing on each
+    side, e.g. ``predictions without references: [...]``."""
+    unpaired = [f"{a} without {b}: {sorted(ids)[:10]}"
+                for a, b, ids in ((left_name, right_name, left.keys() - right.keys()),
+                                  (right_name, left_name, right.keys() - left.keys()))
+                if ids]
+    if unpaired:
+        raise CorpusError("; ".join(unpaired))
+    return [(left[image_id], right[image_id]) for image_id in sorted(left)]
 
 
 def project_flat(tree: OpenTree) -> OpenTree:

@@ -5,7 +5,8 @@ enumeration or by the solver on every matrix, depths by BFS over an
 adjacency list, LCA by ancestor-set intersection, skeletons by a direct
 reading of the climbing rule on full mask arrays, a whole per-image report
 by a direct reading of the metric, the RLE codec and mask overlaps on
-full-canvas arrays, morphology by one 3x3 step at a time.  Nothing imports
+full-canvas arrays, morphology by one 3x3 step at a time, corpus
+aggregation by one hand-written sum per field and mode.  Nothing imports
 the modules under test beyond data types.
 """
 
@@ -18,6 +19,7 @@ from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
 from otq import ROOT_ID, OpenTree, RleError
+from otq.metric import OtqReport
 
 
 def brute_force_max_total(weights: np.ndarray) -> int:
@@ -354,3 +356,46 @@ def dense_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def dense_containment(child: np.ndarray, parent: np.ndarray) -> float:
     return dense_intersection_area(child, parent) / int(np.count_nonzero(child))
+
+
+def aggregate_reports(records: list[OtqReport],
+                      aggregate: str = "macro") -> OtqReport:
+    """Corpus record from per-image records (sorted by image_id first).
+
+    macro: unweighted per-image means of TQ/BQ/meanNQ/MQ/LQ.
+    micro: meanNQ/MQ/LQ weighted by TP counts, BQ by TP pair counts, and the
+    recovery ratio computed from summed counts.
+    Either way the corpus OTQ is corpus TQ times corpus meanNQ, and counts
+    are summed.
+    """
+    records = sorted(records, key=lambda r: r.image_id or "")
+    tp = sum(r.tp for r in records)
+    fp = sum(r.fp for r in records)
+    fn = sum(r.fn for r in records)
+    n_pairs = sum(r.n_pairs for r in records)
+    if not records:
+        return OtqReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, per_image=[])
+    if aggregate == "macro":
+        n = len(records)
+        tq = sum(r.tq for r in records) / n
+        bq = sum(r.bq for r in records) / n
+        mean_nq = sum(r.mean_nq for r in records) / n
+        mq = sum(r.mq for r in records) / n
+        lq = sum(r.lq for r in records) / n
+    elif aggregate == "micro":
+        if tp > 0:
+            mean_nq = sum(r.mean_nq * r.tp for r in records) / tp
+            mq = sum(r.mq * r.tp for r in records) / tp
+            lq = sum(r.lq * r.tp for r in records) / tp
+            if n_pairs > 0:
+                bq = sum(r.bq * r.n_pairs for r in records) / n_pairs
+            else:
+                bq = 1.0
+            tq = bq * tp / (tp + 0.5 * fp + 0.5 * fn)
+        else:
+            mean_nq = mq = lq = bq = tq = 0.0
+    else:
+        raise ValueError(f"aggregate must be 'macro' or 'micro', got {aggregate!r}")
+    return OtqReport(otq=tq * mean_nq, tq=tq, bq=bq, mean_nq=mean_nq,
+                     mq=mq, lq=lq, tp=tp, fp=fp, fn=fn, n_pairs=n_pairs,
+                     per_image=records)

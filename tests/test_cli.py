@@ -332,6 +332,33 @@ class TestValidate:
         assert "duplicate image_id" in capsys.readouterr().err
 
 
+class TestFailedWrite:
+    """A command whose input fails part-way exits 1, leaves ``--out`` as it
+    was and leaves no temp file behind."""
+
+    @pytest.mark.parametrize("command", ["degrade", "project-flat"])
+    def test_bad_third_line_leaves_out_untouched(self, corpus_path, tmp_path,
+                                                 capsys, command):
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["nodes"][0]["rle"] = "1"
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"earlier output\n")
+        argv = {
+            "degrade": ["degrade", "--kind", "parent_rewire", "--keep", "0.5",
+                        "--in", str(bad), "--out", str(out)],
+            "project-flat": ["project-flat", "--in", str(bad), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert f"{bad}:3: " in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.jsonl", "out.jsonl", "ref.jsonl"]
+
+
 class TestInvalidUtf8:
     """A byte that is not UTF-8 is reported with its file, line and offset
     in the line, with the documented exit code, not as a traceback."""
@@ -453,6 +480,14 @@ class TestPipelineCommand:
         path.write_text(json.dumps(script))
         assert main(["pipeline", "--script", str(path)]) == 1
         assert capsys.readouterr().err == f"otq: {path}: {problem}\n"
+
+    def test_syntax_error_names_script_and_byte_offset(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text('{"image_id": "s", "width": 4,, "height": 4}')
+        assert main(["pipeline", "--script", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"otq: {path}: malformed JSON at byte offset 29: "
+            "Expecting property name enclosed in double quotes\n")
 
     def test_missing_script_exits_2(self, tmp_path):
         assert main(["pipeline", "--script", str(tmp_path / "nope.json")]) == 2

@@ -80,6 +80,18 @@ class TestTable:
             table_lines([{"a": "Wheel", "b": "TIRE", "sim": 0.4}]))
         assert similarity(proto, "wheel", "tire") == 0.4
 
+    def test_syntax_error_names_line_and_byte_offset(self):
+        with pytest.raises(SimilarityError) as info:
+            load_similarity_table(["", '{"a": "x", "b": "y", "sim": 0.5}', '{"a": "x",,}'])
+        assert str(info.value) == ("line 3: malformed JSON at byte offset 10: "
+                                   "Expecting property name enclosed in double quotes")
+
+    def test_blank_test_follows_decoding(self):
+        # U+3000 IDEOGRAPHIC SPACE is blank only once the bytes are decoded.
+        proto = load_similarity_table(["\u3000\n".encode(),
+                                       b'{"a": "x", "b": "y", "sim": 0.5}\n'])
+        assert similarity(proto, "x", "y") == 0.5
+
     def test_malformed_rows_rejected(self):
         with pytest.raises(SimilarityError):
             load_similarity_table(["{not json"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -30,11 +31,13 @@ from otq import (
     tree_quality,
     write_corpus,
 )
+from otq import metric
 from otq.matching import MatchResult
-from otq.metric import Skeleton
+from otq.metric import OtqReport, Skeleton
 from otq.tree import corpus_index
 
 from conftest import make_tree, rect
+import oracles
 from oracles import all_pairs_bq, naive_assignments, naive_bq, naive_otq
 
 STRICT = SimilarityProtocol.strict()
@@ -483,6 +486,44 @@ class TestEvaluateCorpus:
         write_corpus(trees[:2], pred_path)
         with pytest.raises(CorpusError, match="img-0002"):
             evaluate_corpus_files(pred_path, ref_path, STRICT)
+
+
+@st.composite
+def image_records(draw):
+    """0-12 per-image records with unique image ids.  A corpus-wide TP cap
+    of 0 or 1 gives zero-TP and zero-pair corpora."""
+    ids = draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                        max_size=12, unique=True))
+    max_tp = draw(st.sampled_from((0, 1, 20)))
+    records = []
+    for image_id in ids:
+        tp = draw(st.integers(0, max_tp))
+        records.append(OtqReport(*(draw(st.floats(0.0, 1.0)) for _ in range(6)),
+                                 tp=tp, fp=draw(st.integers(0, 20)),
+                                 fn=draw(st.integers(0, 20)), n_pairs=comb(tp, 2),
+                                 image_id=image_id))
+    return records
+
+
+class TestAggregation:
+    @settings(max_examples=200)
+    @given(image_records(), st.sampled_from(("macro", "micro")))
+    def test_equals_oracle_bit_for_bit(self, records, mode):
+        # Dataclass equality compares every float with ==, and per_image
+        # record by record, so summation order and weights are pinned.
+        assert aggregate_reports(records, mode) == oracles.aggregate_reports(
+            records, mode)
+
+    def test_unknown_mode_is_refused_before_scoring(self, two_branch_tree,
+                                                    monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an image was scored")
+
+        monkeypatch.setattr(metric, "evaluate_image", unreachable)
+        with pytest.raises(ValueError,
+                           match="aggregate must be 'macro' or 'micro', got 'mean'"):
+            evaluate_corpus([(two_branch_tree, two_branch_tree)], STRICT,
+                            aggregate="mean")
 
 
 class TestReports:

@@ -6,22 +6,29 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otq import (
     CorpusError,
+    DegradeSpec,
     ImageCanvas,
     OpenTree,
     ROOT_ID,
     SchemaError,
+    SimilarityProtocol,
     ValidationError,
+    degrade_tree,
+    evaluate_corpus,
     iter_corpus,
     parse_tree,
     project_flat,
+    report_to_json,
     serialize_tree,
     synthetic_tree,
     write_corpus,
 )
-from otq.tree import corpus_index
+from otq.tree import corpus_index, pair_by_image_id, write_atomically
 
 from conftest import make_tree, rect
 from oracles import bfs_depths
@@ -233,6 +240,70 @@ class TestCorpusIo:
         path.write_text("\n" + line)
         assert corpus_index(path) == {
             chain_tree.canvas.image_id: (f"{path}:2", line)}
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise ValidationError("input failed")
+
+        with pytest.raises(ValidationError, match="input failed"):
+            write_atomically(path, chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_pairs_in_image_id_order(self):
+        assert pair_by_image_id({"b": 1, "a": 2}, {"a": "x", "b": "y"},
+                                "left", "right") == [(2, "x"), (1, "y")]
+
+    def test_unpaired_ids_named_on_both_sides(self):
+        left = {f"l{i:02d}": 0 for i in range(12)} | {"both": 0}
+        with pytest.raises(CorpusError) as info:
+            pair_by_image_id(left, {"both": 0, "r": 0}, "candidates", "references")
+        assert str(info.value) == (
+            f"candidates without references: {sorted(left)[1:11]}; "
+            "references without candidates: ['r']")
+
+
+@st.composite
+def degraded_pairs(draw):
+    """(pred, ref): a generated reference, and a prediction made from it by
+    node removal, parent rewiring and mask erosion."""
+    seed = draw(st.integers(0, 2**16))
+    ref = synthetic_tree("img", np.random.default_rng(seed),
+                         width=draw(st.integers(24, 80)), height=draw(st.integers(24, 60)))
+    pred = ref
+    for kind in ("random_node_missing", "parent_rewire", "mask_erosion"):
+        keep = draw(st.sampled_from((0.5, 0.75, 1.0)))
+        pred = degrade_tree(pred, DegradeSpec(kind, keep, seed))
+    return pred, ref
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=20)
+    @given(degraded_pairs(), st.randoms(use_true_random=False))
+    def test_node_order_in_documents_does_not_change_the_report(self, pair, rnd):
+        docs = [serialize_tree(t) for t in pair]
+        shuffled = []
+        for document in docs:
+            payload = json.loads(document)
+            rnd.shuffle(payload["nodes"])
+            shuffled.append(json.dumps(payload))
+
+        def report(pred_doc, ref_doc):
+            return report_to_json(evaluate_corpus(
+                [(("pred:1", pred_doc), ("ref:1", ref_doc))],
+                SimilarityProtocol.strict()))
+
+        assert report(*shuffled) == report(*docs)
+
+    @settings(max_examples=20)
+    @given(degraded_pairs())
+    def test_parse_inverts_serialize(self, pair):
+        for tree in pair:
+            assert parse_tree(serialize_tree(tree)) == tree
 
 
 class TestProjectFlat:
