@@ -143,10 +143,12 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(iter_corpus(args.input))
+    trees = iter_corpus(args.input)
     compat = None
     if args.compat_ref is not None:
-        compat = compat_eval(iter_corpus(args.input), iter_corpus(args.compat_ref))
+        trees = list(trees)  # corpus_stats reads --in again: parse it once
+        compat = compat_eval(trees, iter_corpus(args.compat_ref))
+    stats = corpus_stats(trees)
     if args.format == "json":
         text = stats_to_json(stats, compat)
     else:

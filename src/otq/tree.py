@@ -20,6 +20,8 @@ and every file is written by ``write_atomically``.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -318,15 +320,22 @@ def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
 
 
 def write_atomically(path: str | Path, chunks: Iterable[str]) -> int:
-    """Write UTF-8 text chunks through ``<path>.tmp`` and a rename; returns
-    the chunk count.  On any failure, including one raised by ``chunks``,
-    the temp file is removed and the error re-raised, so ``path`` is either
-    the whole new text or untouched."""
+    """Write UTF-8 text chunks to a new uniquely named file beside ``path``
+    (``tempfile.mkstemp``), then rename it over ``path``; returns the chunk
+    count.  No other file is touched and concurrent writers never share a
+    temp file.  The output gets the mode ``open`` would give it (0666 less
+    the umask), not mkstemp's 0600.  On any failure, including one raised by
+    ``chunks``, the temp file is removed and the error re-raised, so
+    ``path`` is either the whole new text or untouched."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    tmp = Path(name)
     n = 0
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             for n, chunk in enumerate(chunks, start=1):
                 fh.write(chunk)
         tmp.replace(path)

@@ -1,9 +1,9 @@
 """Independent brute-force implementations used to cross-check the library.
 
 Everything here is deliberately naive: assignments by exhaustive
-enumeration or by the solver on every matrix, depths by BFS over an
-adjacency list, LCA by ancestor-set intersection, skeletons by a direct
-reading of the climbing rule on full mask arrays, a whole per-image report
+enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
+intersection, skeletons by a direct reading of the climbing rule on full
+mask arrays, a whole per-image report
 by a direct reading of the metric, the RLE codec and mask overlaps on
 full-canvas arrays, morphology by one 3x3 step at a time, corpus
 aggregation by one hand-written sum per field and mode.  Nothing imports
@@ -16,7 +16,6 @@ import itertools
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import linear_sum_assignment
 
 from otq import ROOT_ID, OpenTree, RleError
 from otq.metric import OtqReport
@@ -37,41 +36,25 @@ def brute_force_max_total(weights: np.ndarray) -> int:
     return best
 
 
-_SCALE = 10**12
+_SCALE = 10**12  # IoU quantization: 12 decimal digits
 
 
-def _canonicalize(rows: list[int], cols: list[int], wq: np.ndarray) -> list[int]:
-    """Swap assigned column pairs while the total is unchanged so that
-    earlier rows take smaller columns.  Weights are integers, so the
-    no-total-change test is exact."""
-    cols = list(cols)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                ia, ib = rows[a], rows[b]
-                ja, jb = cols[a], cols[b]
-                if jb < ja and (wq[ia, jb] + wq[ib, ja]
-                                == wq[ia, ja] + wq[ib, jb]):
-                    cols[a], cols[b] = jb, ja
-                    changed = True
-    return cols
-
-
-def lsap_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
-    """Assignment by ``linear_sum_assignment`` on every matrix: quantize to
-    12 decimals, solve, keep the positive pairs, canonicalize ties, sort by
-    row.  ``max_weight_assignment`` must equal it, certificate or not."""
-    if weights.size == 0:
-        return []
+def lexmin_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Quantize to 12 decimals, then enumerate every one-to-one map of the
+    shorter side into the longer one; each set of positive pairs is the
+    positive part of such a map.  Returns the sorted (row, col) list that
+    has the maximum total and, of those, is lexicographically smallest.
+    ``max_weight_assignment`` must equal it, certificate or not."""
     wq = np.round(np.asarray(weights, dtype=np.float64) * _SCALE).astype(np.int64)
-    rows, cols = linear_sum_assignment(wq, maximize=True)
-    keep = wq[rows, cols] > 0
-    rows = list(rows[keep])
-    cols = list(cols[keep])
-    cols = _canonicalize(rows, cols, wq)
-    return sorted(zip(rows, cols))
+    n_rows, n_cols = wq.shape
+    if n_rows <= n_cols:
+        maps = (list(enumerate(perm))
+                for perm in itertools.permutations(range(n_cols), n_rows))
+    else:
+        maps = ([(i, j) for j, i in enumerate(perm)]
+                for perm in itertools.permutations(range(n_rows), n_cols))
+    positive = ([(i, j) for i, j in sorted(pairs) if wq[i, j] > 0] for pairs in maps)
+    return min(positive, key=lambda pairs: (-sum(int(wq[p]) for p in pairs), pairs))
 
 
 def bfs_depths(tree: OpenTree) -> dict[int, int]:
@@ -177,9 +160,6 @@ def naive_bq(pred: OpenTree, ref: OpenTree,
                         tp_pairs)
 
 
-_SCALE = 10**12  # IoU quantization: 12 decimal digits
-
-
 def naive_assignments(pred: OpenTree, ref: OpenTree
                       ) -> tuple[list[list[tuple[int, int]]], dict[tuple[int, int], int]]:
     """Every maximum-total one-to-one set of positive-IoU (pred_id, ref_id)
@@ -219,10 +199,9 @@ def naive_otq(pred: OpenTree, ref: OpenTree, proto, tau: float = 0.5) -> dict:
 
     Matching: dense pixel IoU quantized to 12 decimals, the maximum-total
     one-to-one assignment by enumeration; of several maxima the one whose
-    sorted (pred_id, ref_id) list is lexicographically smallest wins (the
-    library's canonicalization is only locally canonical, so compare on
-    inputs with one maximum).  TP pairs have quantized IoU >= tau.  Skeleton
-    ties go to the smaller node id (``naive_skeleton_parents``).
+    sorted (pred_id, ref_id) list is lexicographically smallest wins.  TP
+    pairs have quantized IoU >= tau.  Skeleton ties go to the smaller node
+    id (``naive_skeleton_parents``).
     """
     optima, wq = naive_assignments(pred, ref)
     tau_q = round(tau * _SCALE)

@@ -32,8 +32,8 @@ class TestLazyImports:
     def test_evaluate_loads_no_scipy_module_it_does_not_use(self, two_branch_tree,
                                                            tmp_path):
         # The tree scored against itself has distinct row maxima, so its
-        # assignment needs no solver; morphology and a tied matrix then load
-        # what they use.
+        # assignment needs no solver; a tied matrix goes to the solver, which
+        # is numpy only, and morphology then loads what it uses.
         corpus, out = tmp_path / "tree.jsonl", tmp_path / "report.json"
         write_corpus([two_branch_tree], corpus)
         script = textwrap.dedent(f"""
@@ -46,11 +46,15 @@ class TestLazyImports:
             lazy = ("scipy.optimize", "scipy.ndimage", "scipy.sparse")
             loaded = [name for name in lazy if name in sys.modules]
             assert not loaded, loaded
-            from otq import Mask, erode, max_weight_assignment
-            assert erode(Mask.from_rect(8, 8, 0, 0, 6, 6), 0.5).area == 16
+            from otq import Mask, erode, matching, max_weight_assignment
             tied = np.array([[0.5, 0.5], [0.5, 0.5]])
+            assert matching._certified(np.round(tied * 10**12).astype(np.int64)) is None
             assert max_weight_assignment(tied) == [(0, 0), (1, 1)]
-            assert "scipy.ndimage" in sys.modules and "scipy.optimize" in sys.modules
+            loaded = [name for name in lazy if name in sys.modules]
+            assert not loaded, loaded
+            assert erode(Mask.from_rect(8, 8, 0, 0, 6, 6), 0.5).area == 16
+            assert "scipy.ndimage" in sys.modules
+            assert "scipy.optimize" not in sys.modules
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(otq.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env,
@@ -221,6 +225,19 @@ class TestEvaluate:
         assert lines[0].startswith("image_id,otq")
         assert lines[-1].startswith("corpus,")
 
+    def test_compat_parses_each_document_once(self, corpus_path, tmp_path, capsys,
+                                              monkeypatch):
+        flat = tmp_path / "flat.jsonl"
+        assert main(["project-flat", "--in", str(corpus_path),
+                     "--out", str(flat)]) == 0
+        parse, lines = otq.tree.parse_tree, []
+        monkeypatch.setattr(otq.tree, "parse_tree",
+                            lambda line: lines.append(line) or parse(line))
+        assert main(["stats", "--in", str(corpus_path),
+                     "--compat-ref", str(flat)]) == 0
+        n_docs = len(corpus_path.read_text().splitlines())
+        assert len(lines) == 2 * n_docs
+
     def test_table_format(self, corpus_path, capsys):
         assert main(["evaluate", "--pred", str(corpus_path),
                      "--ref", str(corpus_path), "--format", "table"]) == 0
@@ -279,6 +296,19 @@ class TestStats:
                      "--compat-ref", str(flat)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["compat"]["ar"] == 1.0
+
+    def test_compat_parses_each_document_once(self, corpus_path, tmp_path, capsys,
+                                              monkeypatch):
+        flat = tmp_path / "flat.jsonl"
+        assert main(["project-flat", "--in", str(corpus_path),
+                     "--out", str(flat)]) == 0
+        parse, lines = otq.tree.parse_tree, []
+        monkeypatch.setattr(otq.tree, "parse_tree",
+                            lambda line: lines.append(line) or parse(line))
+        assert main(["stats", "--in", str(corpus_path),
+                     "--compat-ref", str(flat)]) == 0
+        n_docs = len(corpus_path.read_text().splitlines())
+        assert len(lines) == 2 * n_docs
 
     def test_table_format(self, corpus_path, capsys):
         assert main(["stats", "--in", str(corpus_path),

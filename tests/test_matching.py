@@ -15,7 +15,7 @@ from otq import (
 )
 
 from conftest import make_tree, random_rect_mask, rect
-from oracles import brute_force_max_total, lsap_assignment
+from oracles import brute_force_max_total, lexmin_assignment
 
 SCALE = 10**12
 
@@ -88,8 +88,8 @@ def weight_matrices(draw, max_side=7):
 
 
 class TestAgainstSolver:
-    """The row-maximum certificate returns what the solver plus tie
-    canonicalization return; matrices without it go to the solver."""
+    """The certificate and the solver both return the lexicographically
+    smallest maximum-total set of positive pairs (``lexmin_assignment``)."""
 
     @given(weight_matrices())
     @example(np.zeros((0, 0)))
@@ -99,22 +99,80 @@ class TestAgainstSolver:
     @example(THREE_CYCLE)
     @example(CERTIFIED)
     @example(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    # A tied row beside a zero row: the solver gives it column 1, not 0.
     @example(np.array([[0.0, 0.0], [0.5, 0.5]]))
     @example(np.array([[1.0, 0.8], [-0.2, -1.0]]))
     def test_equals_solver(self, weights):
-        assert max_weight_assignment(weights) == lsap_assignment(weights)
+        assert max_weight_assignment(weights) == lexmin_assignment(weights)
+
+    @pytest.mark.parametrize("weights, expected", [
+        (THREE_CYCLE, [(0, 0), (2, 2), (3, 1)]),
+        # A tied row beside a zero row takes column 0.
+        (np.array([[0.0, 0.0], [0.5, 0.5]]), [(1, 0)]),
+        # Negative weights are never paired, so row 0 keeps its maximum.
+        (np.array([[1.0, 0.8], [-0.2, -1.0]]), [(0, 0)]),
+    ])
+    def test_pinned_ties(self, weights, expected):
+        assert max_weight_assignment(weights) == expected
+
+    def test_tie_through_match_trees(self):
+        # Pred 2 equals both references; the smaller ref id wins.
+        pred = make_tree([(1, "x", None, rect(16, 16, 0, 0, 3, 3)),
+                          (2, "x", None, rect(16, 16, 8, 8, 4, 4))])
+        ref = make_tree([(1, "x", None, rect(16, 16, 8, 8, 4, 4)),
+                         (2, "x", None, rect(16, 16, 8, 8, 4, 4))])
+        assert [(p, r) for p, r, _ in match_trees(pred, ref).pairs] == [(2, 1)]
+
+    def test_total_is_optimal_beyond_enumeration(self):
+        rng = np.random.default_rng(41)
+        for case in range(60):
+            n_rows, n_cols = rng.integers(1, 81, size=2)
+            density = rng.random()
+            if case % 2:  # few distinct values: many ties
+                weights = rng.integers(0, 4, size=(n_rows, n_cols)) / 4
+            else:
+                weights = rng.random((n_rows, n_cols))
+            weights *= rng.random((n_rows, n_cols)) < density
+            assigned = max_weight_assignment(weights)
+            wq = quantized(weights)
+            rows, cols = zip(*assigned) if assigned else ((), ())
+            assert len(set(rows)) == len(set(cols)) == len(assigned)
+            assert all(wq[i, j] > 0 for i, j in assigned)
+            best_rows, best_cols = linear_sum_assignment(wq, maximize=True)
+            assert sum(int(wq[i, j]) for i, j in assigned) == int(
+                wq[best_rows, best_cols].sum())
+
+    def test_independent_of_the_optimum_the_solver_finds(self, monkeypatch):
+        # The solver sees its square with rows and columns shuffled, so it
+        # reaches other optima and other duals; the answer must not move.
+        solve, rng = matching._solve, np.random.default_rng(43)
+
+        def shuffled_solve(cost):
+            rows, cols = rng.permutation(len(cost)), rng.permutation(len(cost))
+            col4row, u, v = solve(cost[np.ix_(rows, cols)])
+            out = np.empty_like(col4row), np.empty_like(u), np.empty_like(v)
+            out[0][rows], out[1][rows], out[2][cols] = cols[col4row], u, v
+            return out
+
+        matrices = [THREE_CYCLE, np.array([[0.0, 0.0], [0.5, 0.5]])]
+        for _ in range(30):
+            n_rows, n_cols = rng.integers(2, 31, size=2)
+            matrices.append(rng.integers(0, 3, size=(n_rows, n_cols)) / 2
+                            * (rng.random((n_rows, n_cols)) < rng.random()))
+        expected = [max_weight_assignment(weights) for weights in matrices]
+        monkeypatch.setattr(matching, "_solve", shuffled_solve)
+        for _ in range(5):
+            assert [max_weight_assignment(weights) for weights in matrices] == expected
 
     def test_examples_reach_both_paths(self):
         def certified(weights):
-            return matching._certified(quantized(weights)) is not None
+            return matching._certified(np.maximum(quantized(weights), 0)) is not None
 
         assert certified(CERTIFIED) and certified(np.zeros((4, 3)))
         assert not certified(THREE_CYCLE)
         assert not certified(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert not certified(np.array([[0.0, 0.0], [0.5, 0.5]]))
-        # A negative weight voids the bound: the solver must fill every row.
-        assert not certified(np.array([[1.0, 0.8], [-0.2, -1.0]]))
+        # Negative weights count as zero and leave the bound intact.
+        assert certified(np.array([[1.0, 0.8], [-0.2, -1.0]]))
 
 
 class TestQuantization:

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otq import (
@@ -38,7 +38,7 @@ from otq.tree import corpus_index
 
 from conftest import make_tree, rect
 import oracles
-from oracles import all_pairs_bq, naive_assignments, naive_bq, naive_otq
+from oracles import all_pairs_bq, naive_bq, naive_otq
 
 STRICT = SimilarityProtocol.strict()
 
@@ -283,7 +283,7 @@ def small_trees(draw, max_nodes=6):
 @st.composite
 def tree_pairs(draw):
     """(pred, ref): the prediction drops, jitters, relabels and rewires the
-    reference's nodes."""
+    reference's nodes; then each side repeats up to two of its own masks."""
     ref, spec = draw(small_trees())
     width, height = ref.canvas.width, ref.canvas.height
     kept = [entry for entry in spec if draw(st.integers(0, 4))]
@@ -296,7 +296,15 @@ def tree_pairs(draw):
         parent = draw(st.sampled_from([None, *(e[0] for e in pred_spec)]))
         label = draw(st.sampled_from([label, label, "a", "b", "c"]))
         pred_spec.append((nid, label, parent, rect(width, height, row, col, n_rows, n_cols)))
-    return make_tree(pred_spec, width=width, height=height), ref
+    # Repeated masks, a common detector failure, tie the assignment; so do
+    # repeated reference masks against distinct predictions.
+    ref_spec = [(nid, label, parent, ref.nodes[nid].mask) for nid, label, parent, _ in spec]
+    for side in (pred_spec, ref_spec):
+        copies = draw(st.lists(st.sampled_from(side), max_size=2)) if side else []
+        for k, (_, label, parent, mask) in enumerate(copies):
+            side.append((21 + k, label, parent, mask))
+    return (make_tree(pred_spec, width=width, height=height),
+            make_tree(ref_spec, width=width, height=height))
 
 
 PROTOCOLS = (STRICT, SimilarityProtocol.constant_one(),
@@ -304,11 +312,25 @@ PROTOCOLS = (STRICT, SimilarityProtocol.constant_one(),
                                    default_for_missing=0.25))
 
 
+# Tied pairs whose labels differ, so only the canonical tie rule scores them
+# like the oracle.  First, prediction 2 equals both references and
+# prediction 1 overlaps both by half; then prediction 2 equals both
+# references and prediction 1 overlaps neither.
+TIED_PAIRS = tuple(
+    (make_tree([(1, "a", None, rect(side, side, *p1)), (2, label, None, rect(side, side, *box))],
+               width=side, height=side),
+     make_tree([(1, "a", None, rect(side, side, *box)), (2, "b", None, rect(side, side, *box))],
+               width=side, height=side))
+    for side, p1, box, label in ((4, (0, 0, 1, 2), (0, 0, 1, 1), "b"),
+                                 (16, (0, 0, 3, 3), (8, 8, 4, 4), "a")))
+
+
 class TestAgainstNaiveOtq:
     @given(tree_pairs(), st.sampled_from(PROTOCOLS), st.sampled_from((0.5, 0.3, 0.75)))
+    @example(TIED_PAIRS[0], STRICT, 0.5)
+    @example(TIED_PAIRS[1], STRICT, 0.5)
     def test_evaluate_image_equals_oracle(self, pair, proto, tau):
         pred, ref = pair
-        assume(len(naive_assignments(pred, ref)[0]) == 1)  # one maximum: no tie
         assert evaluate_image(pred, ref, proto, tau).to_record() == naive_otq(
             pred, ref, proto, tau)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import stat
 import weakref
 
 import numpy as np
@@ -253,6 +255,30 @@ class TestCorpusIo:
             write_atomically(path, chunks())
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_temp_file_never_touches_a_file_of_another_name(self, tmp_path):
+        path, notes = tmp_path / "out.jsonl", tmp_path / "out.jsonl.tmp"
+        notes.write_bytes(b"user notes\n")
+
+        def chunks():
+            yield "partial\n"
+            raise ValidationError("input failed")
+
+        with pytest.raises(ValidationError, match="input failed"):
+            write_atomically(path, chunks())
+        assert notes.read_bytes() == b"user notes\n" and not path.exists()
+        assert write_atomically(path, ["a\n", "b\n"]) == 2
+        assert path.read_text() == "a\nb\n"
+        assert notes.read_bytes() == b"user notes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "out.jsonl.tmp"]
+
+    def test_output_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_atomically(tmp_path / "out.txt", ["x"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o640
 
     def test_pairs_in_image_id_order(self):
         assert pair_by_image_id({"b": 1, "a": 2}, {"a": "x", "b": "y"},
