@@ -20,18 +20,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
+# The stats and pipeline modules are imported by their commands' handlers,
+# so that no other command loads them.
 from .degrade import KINDS, DegradeSpec, degrade_corpus
-from .errors import ConfigError, OtqError, SchemaError, SimilarityError, ValidationError
+from .errors import (ConfigError, CorpusError, OtqError, SchemaError, SimilarityError,
+                     ValidationError)
 from .labels import protocol_from_spec
 from .metric import (AGGREGATIONS, evaluate_corpus_files, report_to_csv, report_to_json,
                      report_to_table)
-from .pipeline import load_scene_script, run_pipeline
-from .stats import compat_eval, corpus_stats, stats_to_json
-from .tree import (iter_corpus, iter_lines, located, parse_tree, project_flat,
-                   serialize_tree, write_atomically, write_corpus)
+from .tree import (claim_image_id, iter_corpus, iter_lines, located, parse_tree,
+                   project_flat, serialize_tree, write_atomically, write_corpus)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -143,6 +144,7 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import compat_eval, corpus_stats, stats_to_json
     trees = iter_corpus(args.input)
     compat = None
     if args.compat_ref is not None:
@@ -166,19 +168,15 @@ def _cmd_project_flat(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     problems = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     for lineno, line in iter_lines(args.input):
         where = f"{args.input}:{lineno}"
         try:
             with located(where):
                 tree = parse_tree(line)
-        except (SchemaError, ValidationError) as exc:
+            claim_image_id(seen, tree.canvas.image_id, where=where)
+        except (SchemaError, ValidationError, CorpusError) as exc:
             problems.append(str(exc))
-            continue
-        if tree.canvas.image_id in seen:
-            problems.append(
-                f"{where}: duplicate image_id '{tree.canvas.image_id}'")
-        seen.add(tree.canvas.image_id)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -188,6 +186,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from .pipeline import load_scene_script, run_pipeline
     canvas, proposer, grounder, limits = load_scene_script(args.script)
     tree = run_pipeline(canvas, proposer, grounder, limits)
     _write_text(args.out, serialize_tree(tree) + "\n")
@@ -217,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"otq: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         print(f"otq: a worker process died: {exc}", file=sys.stderr)
         return EXIT_IO
     except OtqError as exc:

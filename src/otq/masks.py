@@ -12,14 +12,14 @@ together: when all of them are canonical text (ASCII digits separated by
 single spaces) it reads and checks their runs in one vectorized pass, and
 every other document is read one string at a time with ``int``, accepting
 whatever ``int`` accepts.  Either way one builder makes the windows.
-Erosion and dilation give the result of iterated 3x3 steps, computed from
-one distance transform over a padded window.
+Erosion and dilation take 3x3 steps one at a time in numpy, each an AND or
+OR of shifted windows, and keep the step whose area is closest to a target;
+a step count is a chessboard distance (Rosenfeld and Pfaltz, 1966, 1968).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Sequence
 
 import numpy as np
@@ -470,40 +470,62 @@ def mask_difference(a: Mask, b: Mask) -> Mask:
                         a.window & ~_region(b, a.bbox))
 
 
+def _eroded(a: np.ndarray) -> np.ndarray:
+    """One 3x3 erosion of ``a``, with everything outside ``a`` off, cropped
+    by the ring it always clears.  The column pass makes the one new array;
+    the row pass ANDs each row with the next two in place."""
+    out = a[:, :-2] & a[:, 1:-1]
+    out &= a[:, 2:]
+    out[:-1] &= out[1:]
+    out[:-2] &= out[1:-1]
+    return out[:-2]
+
+
+def _dilated(a: np.ndarray, row0: int, col0: int, height: int,
+             width: int) -> tuple[np.ndarray, int, int]:
+    """One 3x3 dilation of ``a``, whose corner is at (row0, col0) on a
+    height x width canvas: ``a`` grown by one ring, clipped to the canvas,
+    and the result's corner.  The column pass fills the one new array, whose
+    two spare rows at each end let the row pass OR each row with the next
+    two in place."""
+    h, w = a.shape
+    out = np.zeros((h + 4, w + 2), dtype=bool)
+    cols = out[2:-2]
+    cols[:, :-2] = a
+    cols[:, 1:-1] |= a
+    cols[:, 2:] |= a
+    out[:-1] |= out[1:]
+    out[:-2] |= out[1:-1]
+    r0, r1 = max(row0 - 1, 0), min(row0 + h + 1, height)
+    c0, c1 = max(col0 - 1, 0), min(col0 + w + 1, width)
+    return out[r0 - row0 + 1:r1 - row0 + 1, c0 - col0 + 1:c1 - col0 + 1], r0, c0
+
+
 def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
-    """Erode or dilate ``m`` by the 3x3 step count k whose area is the closer
-    of the two bracketing ``target`` (ties to the larger k), reading the area
-    after every k off one chessboard distance transform."""
-    # Imported here: at module level it would slow every ``otq`` start.
-    from scipy import ndimage
-    if grow:  # k dilations cover the pixels within k of the mask
-        # While k < min(height, width), k steps cover at least (k+1)^2 pixels,
-        # so both steps bracketing the target lie within a pad of
-        # ceil(sqrt(target)) around the bbox; otherwise use the whole canvas.
-        pad = math.ceil(math.sqrt(target))
-        r0, r1, c0, c1 = m.bbox
-        if pad >= min(m.height, m.width):
-            pad = max(m.height, m.width)
-        row0, col0 = max(r0 - pad, 0), max(c0 - pad, 0)
-        box = (row0, min(r1 + pad, m.height), col0, min(c1 + pad, m.width))
-        dist = ndimage.distance_transform_cdt(~_region(m, box), metric="chessboard")
-    else:  # k erosions keep the pixels farther than k from off-mask or off-canvas
-        # Off-window pixels are off-mask, so a one-pixel pad holds the
-        # nearest of them to every window pixel.
-        padded = np.pad(m.window, 1)
-        dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
-        row0, col0 = m.bbox[0], m.bbox[2]
-    within = np.cumsum(np.bincount(dist.ravel()))
-    areas = within if grow else dist.size - within
-    # Areas are monotone in k, so the counts short of the target are a prefix;
-    # a dilation that cannot reach it stops at full-canvas coverage.
-    short = areas < target if grow else areas > target
-    k = min(int(np.count_nonzero(short)), areas.size - 1)
-    if k and abs(areas[k] - target) > abs(areas[k - 1] - target):
+    """Erode or dilate ``m`` one 3x3 step at a time until its area passes
+    ``target``, then keep the closer of the last two steps (ties to the
+    later one).  A dilation that reaches full-canvas coverage stops there.
+
+    Only the last two steps' arrays are held.  Off-window pixels are
+    off-mask, so an erosion works on the window and each step crops the
+    ring it clears; a dilation grows its array by one ring per step,
+    clipped to the canvas."""
+    arr, row0, col0 = m.window, m.bbox[0], m.bbox[2]
+    area, k = m.area, 0
+    while area < min(target, m.height * m.width) if grow else area > target:
+        prev = arr, row0, col0, area
+        if grow:
+            arr, row0, col0 = _dilated(arr, row0, col0, m.height, m.width)
+        else:
+            arr, row0, col0 = _eroded(arr), row0 + 1, col0 + 1
+        area = int(np.count_nonzero(arr))
+        k += 1
+    if k and abs(area - target) > abs(prev[3] - target):
         k -= 1
+        arr, row0, col0, _ = prev
     if not k:
         return m
-    return Mask._placed(m.height, m.width, row0, col0, dist <= k if grow else dist > k)
+    return Mask._placed(m.height, m.width, row0, col0, arr)
 
 
 def erode(m: Mask, target_keep_ratio: float) -> Mask:
@@ -525,9 +547,10 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
     """Iterated 3x3 dilation (clipped to the canvas) toward an area ratio >= 1.
 
     Stops at the step bracketing the target area; ties go to the grown side.
-    A mask that cannot grow further (already canvas-maximal) is returned as is.
-    The distance transform runs over the bbox padded by ceil(sqrt(target area)),
-    clipped to the canvas, or over the whole canvas if that pad reaches across.
+    A mask that cannot grow further (already canvas-maximal) is returned as is,
+    and one that reaches full coverage short of the target stops there.  Each
+    step works on the bbox grown by one pixel per step so far, clipped to the
+    canvas, never on the whole canvas unless the mask has grown across it.
     """
     if target_grow_to_ratio < 1.0:
         raise MaskError(

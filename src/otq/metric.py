@@ -31,19 +31,18 @@ import csv
 import io
 import json
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CorpusError
 from .labels import SimilarityProtocol, similarity
 # perfbench's tracer wraps intersection_area at this attribute.
 from .masks import Mask, intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
-from .tree import ROOT_ID, OpenTree, corpus_index, located, pair_by_image_id, parse_tree
+from .tree import (ROOT_ID, OpenTree, claim_image_id, corpus_index, located,
+                   pair_by_image_id, parse_tree)
 
 METRIC_FIELDS = ("otq", "tq", "bq", "mean_nq", "mq", "lq")
 COUNT_FIELDS = ("tp", "fp", "fn", "n_pairs")
@@ -289,19 +288,17 @@ def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
     if jobs > 1:
         pairs = list(pairs)
     if jobs > 1 and len(pairs) > 1:
+        # Imported here: a serial run never loads the process pool.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(pairs) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scored = list(pool.map(score, pairs, chunksize=chunk))
     else:
         scored = map(score, pairs)
-    records: list[OtqReport] = []
-    seen: set[str | None] = set()
+    records: dict[str, OtqReport] = {}
     for record in scored:
-        if record.image_id in seen:
-            raise CorpusError(f"duplicate image_id '{record.image_id}'")
-        seen.add(record.image_id)
-        records.append(record)
-    return aggregate_reports(records, aggregate)
+        claim_image_id(records, record.image_id, record)
+    return aggregate_reports(list(records.values()), aggregate)
 
 
 def evaluate_corpus_files(pred_path: str | Path, ref_path: str | Path,

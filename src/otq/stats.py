@@ -21,9 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CorpusError
 from .masks import Mask, SizeBin, iou, overlapping_pairs, size_bin
-from .tree import OpenTree, pair_by_image_id
+from .tree import OpenTree, claim_image_id, pair_by_image_id
 
 DEPTH_ROWS = ("1", "2", "3", "4+")
 BIN_COLS = ("All", "XS", "S*", "M", "L")
@@ -144,9 +143,8 @@ def _masks_by_image(trees: Iterable[OpenTree]) -> dict[str, list[Mask]]:
     """Each tree's masks under its image id; a repeated id raises ``CorpusError``."""
     by_image: dict[str, list[Mask]] = {}
     for tree in trees:
-        if tree.canvas.image_id in by_image:
-            raise CorpusError(f"duplicate image_id '{tree.canvas.image_id}'")
-        by_image[tree.canvas.image_id] = [n.mask for n in tree.nodes.values()]
+        claim_image_id(by_image, tree.canvas.image_id,
+                       [n.mask for n in tree.nodes.values()])
     return by_image
 
 

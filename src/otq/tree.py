@@ -14,7 +14,8 @@ Wire format, one JSON document per image::
 documents with unique image ids.
 Every JSON document otq reads is decoded by ``_payload``, every JSONL
 source split by ``iter_lines``, corpora are paired by ``pair_by_image_id``,
-and every file is written by ``write_atomically``.
+and every file is written by ``write_atomically``; every reader of several
+documents checks their image ids with ``claim_image_id``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
 from .masks import Mask, rle_decode_all
 
 ROOT_ID = -1
+
+_T = TypeVar("_T")
 
 
 def normalize_label(label: str) -> str:
@@ -306,16 +309,25 @@ def iter_lines(source: str | Path | Iterable[str | bytes]
             yield lineno, line
 
 
+def claim_image_id(ids: dict[str, _T], image_id: str, value: _T = None,
+                   where: str | None = None) -> None:
+    """Set ``ids[image_id] = value`` for an id not in ``ids``; a repeated id
+    raises ``CorpusError``, ``<where>: duplicate image_id '<id>'``, without
+    the prefix where no location is known."""
+    if image_id in ids:
+        prefix = "" if where is None else f"{where}: "
+        raise CorpusError(f"{prefix}duplicate image_id '{image_id}'")
+    ids[image_id] = value
+
+
 def iter_corpus(path: str | Path) -> Iterator[OpenTree]:
     """Stream trees from a JSONL corpus file, enforcing unique image ids."""
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     for lineno, line in iter_lines(path):
-        with located(f"{path}:{lineno}"):
+        where = f"{path}:{lineno}"
+        with located(where):
             tree = parse_tree(line)
-        if tree.canvas.image_id in seen:
-            raise CorpusError(
-                f"{path}:{lineno}: duplicate image_id '{tree.canvas.image_id}'")
-        seen.add(tree.canvas.image_id)
+        claim_image_id(seen, tree.canvas.image_id, where=where)
         yield tree
 
 
@@ -365,9 +377,7 @@ def corpus_index(path: str | Path) -> dict[str, tuple[str, str]]:
         image_id = payload.get("image_id") if isinstance(payload, dict) else None
         if not isinstance(image_id, str):
             raise SchemaError(f"{where}: image_id must be a string")
-        if image_id in index:
-            raise CorpusError(f"{where}: duplicate image_id '{image_id}'")
-        index[image_id] = (where, line)
+        claim_image_id(index, image_id, (where, line), where)
     return index
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -28,12 +29,46 @@ def corpus_path(tmp_path):
     return path
 
 
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this otq."""
+    env = {**os.environ, "PYTHONPATH": str(Path(otq.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# The names ``otq`` exports, under the module that defines each.
+EXPORTS = {
+    "audit": ["audit_grid", "grid_to_csv", "grid_to_table"],
+    "degrade": ["KINDS", "SWEEP_KEEP_RATIOS", "DegradeSpec", "degrade_tree"],
+    "errors": ["ConfigError", "CorpusError", "MaskError", "PipelineError", "RleError",
+               "SchemaError", "SimilarityError", "ValidationError"],
+    "labels": ["REJECT", "SimilarityProtocol", "load_similarity_table",
+               "protocol_from_spec", "similarity"],
+    "masks": ["Mask", "SizeBin", "containment", "dilate", "erode", "intersection_area",
+              "iou", "mask_difference", "rle_decode", "rle_encode", "size_bin",
+              "union_masks"],
+    "matching": ["match_trees", "max_weight_assignment"],
+    "metric": ["Skeleton", "aggregate_reports", "branch_quality", "build_skeleton",
+               "evaluate_corpus", "evaluate_corpus_files", "evaluate_image",
+               "matched_node_quality", "report_to_csv", "report_to_json",
+               "report_to_table", "tree_quality"],
+    "pipeline": ["PipelineLimits", "Proposal", "ScriptedGrounder", "ScriptedProposer",
+                 "SemanticNode", "SemanticTree", "confidence_threshold", "decompose",
+                 "filter_proposal", "load_scene_script", "materialize_instances",
+                 "merge_siblings", "run_pipeline"],
+    "stats": ["compat_eval", "corpus_stats"],
+    "synth": ["chunky_corpus", "synthetic_corpus", "synthetic_tree"],
+    "tree": ["ROOT_ID", "ImageCanvas", "InstanceNode", "OpenTree", "iter_corpus",
+             "parse_tree", "project_flat", "serialize_tree", "write_corpus"],
+}
+
+
 class TestLazyImports:
     def test_evaluate_loads_no_scipy_module_it_does_not_use(self, two_branch_tree,
                                                            tmp_path):
         # The tree scored against itself has distinct row maxima, so its
-        # assignment needs no solver; a tied matrix goes to the solver, which
-        # is numpy only, and morphology then loads what it uses.
+        # assignment needs no solver; a tied matrix goes to the solver, and
+        # morphology takes its steps, both in numpy only.
         corpus, out = tmp_path / "tree.jsonl", tmp_path / "report.json"
         write_corpus([two_branch_tree], corpus)
         script = textwrap.dedent(f"""
@@ -46,21 +81,69 @@ class TestLazyImports:
             lazy = ("scipy.optimize", "scipy.ndimage", "scipy.sparse")
             loaded = [name for name in lazy if name in sys.modules]
             assert not loaded, loaded
-            from otq import Mask, erode, matching, max_weight_assignment
+            from otq import Mask, dilate, erode, matching, max_weight_assignment
             tied = np.array([[0.5, 0.5], [0.5, 0.5]])
             assert matching._certified(np.round(tied * 10**12).astype(np.int64)) is None
             assert max_weight_assignment(tied) == [(0, 0), (1, 1)]
             loaded = [name for name in lazy if name in sys.modules]
             assert not loaded, loaded
             assert erode(Mask.from_rect(8, 8, 0, 0, 6, 6), 0.5).area == 16
-            assert "scipy.ndimage" in sys.modules
-            assert "scipy.optimize" not in sys.modules
+            assert dilate(Mask.from_rect(8, 8, 3, 3, 2, 2), 4.0).area == 16
+            loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+            assert not loaded, loaded
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(otq.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert json.loads(out.read_text())["corpus"]["otq"] == 1.0
+
+    def test_serial_evaluate_loads_only_what_it_runs(self, corpus_path, tmp_path):
+        out = tmp_path / "report.json"
+        result = _run_python(f"""
+            import sys
+            from otq.cli import main
+            assert main(["evaluate", "--pred", {str(corpus_path)!r},
+                         "--ref", {str(corpus_path)!r}, "--jobs", "1",
+                         "--out", {str(out)!r}]) == 0
+            unused = ("otq.pipeline", "otq.stats", "otq.synth", "otq.audit",
+                      "concurrent.futures.process")
+            loaded = [name for name in sys.modules
+                      if name in unused or name.split(".")[0] == "scipy"]
+            assert not loaded, loaded
+        """)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["corpus"]["otq"] == 1.0
+
+    def test_degradation_and_audit_grid_load_no_scipy(self):
+        result = _run_python("""
+            import sys
+            from otq import (DegradeSpec, SimilarityProtocol, audit_grid, chunky_corpus,
+                             degrade_tree)
+            trees = list(chunky_corpus(2, seed=404))
+            for kind, keep in (("mask_erosion", 0.3), ("mask_dilation", 0.3)):
+                for tree in trees:
+                    degraded = degrade_tree(tree, DegradeSpec(kind, keep))
+                    assert degraded != tree
+            rows = audit_grid(trees, SimilarityProtocol.strict())
+            assert len(rows) == 25
+            loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+            assert not loaded, loaded
+        """)
+        assert result.returncode == 0, result.stderr
+
+    def test_exported_names_resolve_to_their_home_modules(self):
+        assert sorted(otq.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+        for module, names in EXPORTS.items():
+            home = importlib.import_module(f"otq.{module}")
+            for name in names:
+                namespace: dict = {}
+                exec(f"from otq import {name}", namespace)
+                assert namespace[name] is getattr(home, name), (module, name)
+        for module in (*EXPORTS, "cli", "seeding"):
+            assert getattr(otq, module) is importlib.import_module(f"otq.{module}")
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            otq.nonexistent  # noqa: B018
 
 
 class TestEvaluate:

@@ -15,6 +15,7 @@ from otq import (
     ROOT_ID,
     SimilarityProtocol,
     dilate,
+    erode,
     evaluate_image,
     parse_tree,
     serialize_tree,
@@ -66,9 +67,9 @@ def test_parse_of_large_windows_adds_little_to_them():
 
 def test_dilation_on_large_canvas_peaks_near_object_size():
     # A 10x10 rectangle grown to 4x its area on a 2048x2048 canvas; a
-    # full-canvas distance transform would take tens of MiB.
+    # full-canvas array would take 4 MiB.
     mask = Mask.from_rect(2048, 2048, 1000, 1000, 10, 10)
-    dilate(mask, 4.0)  # loads scipy.ndimage outside the traced region
+    dilate(mask, 4.0)  # a first call outside the traced region
     tracemalloc.start()
     try:
         grown = dilate(mask, 4.0)
@@ -77,6 +78,29 @@ def test_dilation_on_large_canvas_peaks_near_object_size():
         tracemalloc.stop()
     assert grown.bbox == (995, 1015, 995, 1015)
     assert peak < 2**20, f"dilation peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_erosion_of_large_rectangle_peaks_near_two_windows():
+    # 1200x1600 pixels on a 2048x2048 canvas eroded to keep 0.15: about 420
+    # steps, so holding every step's array would take hundreds of windows,
+    # and holding three steps' arrays three.
+    height, width = 1200, 1600
+    mask = Mask.from_rect(2048, 2048, 100, 200, height, width)
+    target = 0.15 * mask.area
+    areas = [(height - 2 * k) * (width - 2 * k) for k in range(height // 2 + 1)]
+    k = next(k for k, area in enumerate(areas) if area <= target)
+    if abs(areas[k] - target) > abs(areas[k - 1] - target):
+        k -= 1
+    tracemalloc.start()
+    try:
+        eroded = erode(mask, 0.15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eroded.bbox == (100 + k, 100 + height - k, 200 + k, 200 + width - k)
+    window = mask.window.nbytes
+    assert peak < 2.25 * window, (
+        f"erosion peaked at {peak / window:.2f} windows of {window / 2**20:.1f} MiB")
 
 
 def _no_full_canvas(self):

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 from otq import (
     ROOT_ID,
     CorpusError,
+    DegradeSpec,
+    InstanceNode,
+    OpenTree,
     SimilarityProtocol,
     ValidationError,
     aggregate_reports,
     branch_quality,
     build_skeleton,
+    degrade_tree,
     evaluate_corpus,
     evaluate_corpus_files,
     evaluate_image,
@@ -340,6 +344,44 @@ class TestAgainstNaiveOtq:
         report = evaluate_image(tree, tree, STRICT)
         assert report.tp == tree.n_nodes
         assert report.otq == (1.0 if tree.n_nodes else 0.0)
+
+    @given(tree_pairs(), st.sampled_from((0.5, 0.3, 0.75)))
+    def test_flat_projection_keeps_the_match_and_scores_bq_one(self, pair, tau):
+        pred, ref = pair
+        flat_pred, flat_ref = project_flat(pred), project_flat(ref)
+        match = match_trees(flat_pred, flat_ref, tau)
+        assert match == match_trees(pred, ref, tau)
+        assert branch_quality(build_skeleton(flat_pred, match, "pred"),
+                              build_skeleton(flat_ref, match, "ref"), match) == 1.0
+        report = evaluate_image(flat_pred, flat_ref, STRICT, tau)
+        assert report.bq == (1.0 if report.tp else 0.0)
+
+
+class TestParallelReports:
+    # Each case starts a process pool, so there are only three.  Eroded and
+    # dilated masks put IoUs between the thresholds, so tau decides matches;
+    # every third prediction is relabeled "a", which only the table scores.
+    @pytest.mark.parametrize("seed, kind, keep, tau, aggregate", [
+        (31, "mask_erosion", 0.5, 0.3, "macro"),
+        (32, "mask_dilation", 0.75, 0.75, "micro"),
+        (33, "random_node_missing", 0.5, 0.5, "micro"),
+    ])
+    def test_identical_at_one_and_two_jobs(self, seed, kind, keep, tau, aggregate):
+        refs = list(synthetic_corpus(5, seed=seed))
+        spec = DegradeSpec(kind, keep, seed)
+        preds = []
+        for tree in refs:
+            nodes = degrade_tree(tree, spec).nodes.values()
+            preds.append(OpenTree(tree.canvas, [
+                InstanceNode(n.node_id, "a" if n.node_id % 3 == 0 else n.label, n.mask,
+                             n.parent_id) for n in nodes]))
+        pairs = list(zip(preds, refs))[::-1]
+        serial = evaluate_corpus(pairs, PROTOCOLS[2], tau, aggregate, jobs=1)
+        pooled = evaluate_corpus(pairs, PROTOCOLS[2], tau, aggregate, jobs=2)
+        assert 0 < serial.tp < sum(t.n_nodes for t in refs)
+        assert 0 < serial.lq < 1
+        assert report_to_json(pooled) == report_to_json(serial)
+        assert report_to_csv(pooled) == report_to_csv(serial)
 
 
 class TestTreeQuality:
