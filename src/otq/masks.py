@@ -372,8 +372,9 @@ def _require_same_canvas(a: Mask, b: Mask) -> None:
 
 
 def _require_one_canvas(masks: Sequence[Mask]) -> None:
-    for m in masks[1:]:
-        _require_same_canvas(masks[0], m)
+    if len({(m.height, m.width) for m in masks}) > 1:
+        for m in masks[1:]:
+            _require_same_canvas(masks[0], m)
 
 
 def _overlap(a: Box | None, b: Box | None) -> Box | None:
@@ -415,13 +416,25 @@ def overlapping_pairs(a: Sequence[Mask], b: Sequence[Mask]) -> list[tuple[int, i
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def _intersection(a: Mask, b: Mask) -> int:
+    """Pixel count of a AND b over their bbox overlap window; the caller has
+    checked that the canvases match."""
+    if a.bbox is None or b.bbox is None:
+        return 0
+    ar0, ar1, ac0, ac1 = a.bbox
+    br0, br1, bc0, bc1 = b.bbox
+    r0, r1 = ar0 if ar0 > br0 else br0, ar1 if ar1 < br1 else br1
+    c0, c1 = ac0 if ac0 > bc0 else bc0, ac1 if ac1 < bc1 else bc1
+    if r0 >= r1 or c0 >= c1:
+        return 0
+    return int(np.count_nonzero(a.window[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
+                                & b.window[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]))
+
+
 def intersection_area(a: Mask, b: Mask) -> int:
     """Pixel count of a AND b, computed on the bbox overlap window only."""
     _require_same_canvas(a, b)
-    box = _overlap(a.bbox, b.bbox)
-    if box is None:
-        return 0
-    return int(np.count_nonzero(_within(a, box) & _within(b, box)))
+    return _intersection(a, b)
 
 
 def iou(a: Mask, b: Mask) -> float:
@@ -430,10 +443,9 @@ def iou(a: Mask, b: Mask) -> float:
     Two empty masks give 0 by convention (avoids 0/0; valid tree nodes never
     carry empty masks anyway).
     """
-    _require_same_canvas(a, b)
-    if a.area == 0 and b.area == 0:
-        return 0.0
-    inter = intersection_area(a, b)
+    if a.height != b.height or a.width != b.width:
+        _require_same_canvas(a, b)
+    inter = _intersection(a, b)
     if inter == 0:
         return 0.0
     return inter / (a.area + b.area - inter)
@@ -444,7 +456,7 @@ def containment(child: Mask, parent: Mask) -> float:
     _require_same_canvas(child, parent)
     if child.area == 0:
         raise MaskError("containment undefined for an empty child mask")
-    return intersection_area(child, parent) / child.area
+    return _intersection(child, parent) / child.area
 
 
 def union_masks(masks: Sequence[Mask]) -> Mask:

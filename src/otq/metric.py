@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .labels import SimilarityProtocol, similarity
-# perfbench's tracer wraps intersection_area at this attribute.
+# Nothing here calls intersection_area; the name stays importable at this
+# attribute only so that the benchmark's traced run can wrap it.
 from .masks import Mask, intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
 from .tree import (ROOT_ID, OpenTree, claim_image_id, corpus_index, located,
@@ -131,15 +132,18 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
         for anc in tree.ancestors(nid):
             candidates = groups.get(tree.label_paths[anc])
             if candidates:
-                # A candidate whose bbox misses the node's has IoU 0, so it
-                # can never be the positive best and is skipped unscored.
-                best_iou, neg_id = max(
-                    ((iou(mask, cand), -cid) for cid, cand in candidates
-                     if (b := cand.bbox)[0] < r1 and r0 < b[1]
-                     and b[2] < c1 and c0 < b[3]),
-                    default=(0.0, 0))
-                if best_iou > 0:
-                    chosen = -neg_id
+                # Candidates come in ascending id order, so the strict ``>``
+                # breaks ties toward the smaller id.  A candidate whose bbox
+                # misses the node's has IoU 0, so it can never be the
+                # positive best and is skipped unscored.
+                best = 0.0
+                for cid, cand in candidates:
+                    b = cand.bbox
+                    if b[0] < r1 and r0 < b[1] and b[2] < c1 and c0 < b[3]:
+                        score = iou(mask, cand)
+                        if score > best:
+                            best, chosen = score, cid
+                if best > 0:
                     break
         parent[nid] = chosen
 

@@ -116,10 +116,11 @@ class OpenTree:
                 depths[nid] = base + offset
         del depths[ROOT_ID]
 
+        ids = sorted(by_id)
         children: dict[int, list[int]] = {ROOT_ID: []}
         for nid in by_id:
             children[nid] = []
-        for nid in sorted(by_id):
+        for nid in ids:
             children[by_id[nid].parent_id].append(nid)
 
         label_paths: dict[int, tuple[str, ...]] = {ROOT_ID: ()}
@@ -131,7 +132,7 @@ class OpenTree:
             stack.extend(reversed(children[nid]))
 
         self.canvas = canvas
-        self.nodes = {nid: by_id[nid] for nid in sorted(by_id)}
+        self.nodes = {nid: by_id[nid] for nid in ids}
         self.children = {nid: tuple(kids) for nid, kids in children.items()}
         self.depths = depths
         self.label_paths = label_paths

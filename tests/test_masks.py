@@ -139,6 +139,35 @@ class TestIou:
             iou(rect(4, 4, 0, 0, 2, 2), rect(5, 4, 0, 0, 2, 2))
 
 
+# Every public function of two or more masks, called on a pair.
+PAIR_FUNCTIONS = {
+    "iou": iou,
+    "intersection_area": intersection_area,
+    "containment": containment,
+    "mask_difference": mask_difference,
+    "union_masks": lambda a, b: union_masks([a, b]),
+    "overlapping_pairs": lambda a, b: overlapping_pairs([a], [b]),
+}
+
+
+class TestCanvasCheck:
+    """A pair on two canvases is refused before any pixel is read, also
+    when a mask is empty or the bboxes do not overlap."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+    @pytest.mark.parametrize("other", [(9, 8), (8, 9)], ids=["width", "height"])
+    @pytest.mark.parametrize("empty", ["neither", "first", "second", "both"])
+    def test_mismatched_canvas_raises(self, name, other, empty):
+        a, b = rect(8, 8, 0, 0, 3, 3), rect(*other, 2, 2, 4, 4)
+        if empty in ("first", "both"):
+            a = Mask(np.zeros((8, 8), dtype=bool))
+        if empty in ("second", "both"):
+            b = Mask(np.zeros(other[::-1], dtype=bool))
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(MaskError, match="dimension mismatch"):
+                PAIR_FUNCTIONS[name](first, second)
+
+
 class TestContainment:
     def test_subset_is_one(self):
         child = rect(10, 10, 2, 2, 3, 3)

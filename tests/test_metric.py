@@ -13,6 +13,7 @@ from otq import (
     CorpusError,
     DegradeSpec,
     InstanceNode,
+    Mask,
     OpenTree,
     SimilarityProtocol,
     ValidationError,
@@ -150,6 +151,75 @@ class TestSkeleton:
         skel = build_skeleton(ref, match, "ref")
         # Both cars have area 120 and fully contain the wheel: equal IoU.
         assert skel.parent[3] == 1
+
+
+@st.composite
+def checker_or_rect(draw, width, height):
+    """A rectangle, or one colour of a checkerboard over a rectangle: two
+    masks of one box in opposite colours overlap in bbox but in no pixel."""
+    row, col = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    n_rows, n_cols = draw(st.integers(1, height - row)), draw(st.integers(1, width - col))
+    colour = draw(st.sampled_from((None, 0, 1)))
+    pixels = np.zeros((height, width), dtype=bool)
+    rows, cols = np.ogrid[row:row + n_rows, col:col + n_cols]
+    pixels[row:row + n_rows, col:col + n_cols] = (
+        True if colour is None else (rows + cols) % 2 == colour)
+    return Mask(pixels) if pixels.any() else rect(width, height, row, col, 1, 1)
+
+
+@st.composite
+def skeleton_cases(draw):
+    """(tree, TP ids, side): a tree of up to ten checkerboard or rectangle
+    masks with labels "a" and "b", some nodes repeating an earlier node's
+    label, parent and mask (a tied candidate), and a random subset of its
+    nodes as TP on one side."""
+    width, height = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    n = draw(st.integers(2, 10))
+    ids = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True))
+    spec: list = []
+    for k, nid in enumerate(ids):
+        if spec and draw(st.integers(0, 2)) == 0:
+            spec.append((nid, *draw(st.sampled_from(spec))[1:]))
+        else:
+            spec.append((nid, draw(st.sampled_from("ab")),
+                         draw(st.sampled_from([None, *ids[:k]])),
+                         draw(checker_or_rect(width, height))))
+    tp_ids = [nid for nid in ids if draw(st.integers(0, 3))]
+    return (make_tree(spec, width=width, height=height), sorted(tp_ids),
+            draw(st.sampled_from(("pred", "ref"))))
+
+
+# Node 4 lost its parent 1 and climbs to the "a" level, where 2 and 3 tie
+# on IoU (one mask).  Node 6 lost its parent 7 and climbs to the "c" level,
+# where 8, of the same box in the other checkerboard colour, overlaps 6's
+# bbox but no pixel of it, so 6 attaches to the root.
+_CHECKS = [Mask(np.add.outer(np.arange(6), np.arange(6)) % 2 == c) for c in (0, 1)]
+TIED_SKELETON = (make_tree([(1, "a", None, rect(6, 6, 0, 0, 6, 6)),
+                            (2, "a", None, _CHECKS[0]), (3, "a", None, _CHECKS[0]),
+                            (4, "b", 1, _CHECKS[0]), (7, "c", None, rect(6, 6, 0, 0, 6, 6)),
+                            (8, "c", None, _CHECKS[0]), (6, "c", 7, _CHECKS[1])],
+                           width=6, height=6),
+                 [2, 3, 4, 6, 8], "ref")
+
+
+def skeleton_parents(tree, tp_ids, side):
+    """``build_skeleton`` parents with ``tp_ids`` matched to themselves."""
+    tp = [(nid, nid, 1.0) for nid in tp_ids]
+    match = MatchResult(pairs=tp, tp=tp, fp=[], fn=[], tau_node=0.5)
+    return build_skeleton(tree, match, side).parent
+
+
+class TestSkeletonAgainstOracle:
+    @given(skeleton_cases())
+    @example(TIED_SKELETON)
+    def test_parents_equal_naive_rule(self, case):
+        tree, tp_ids, side = case
+        assert skeleton_parents(tree, tp_ids, side) == {
+            ROOT_ID: ROOT_ID, **oracles.naive_skeleton_parents(tree, set(tp_ids))}
+
+    def test_ties_go_to_the_smaller_id_and_bbox_contact_is_no_overlap(self):
+        parent = skeleton_parents(*TIED_SKELETON)
+        assert (parent[4], parent[6]) == (2, ROOT_ID)
 
 
 class TestBranchQuality:
