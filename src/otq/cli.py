@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 # The stats and pipeline modules are imported by their commands' handlers,
@@ -216,12 +215,16 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"otq: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BrokenExecutor as exc:
-        print(f"otq: a worker process died: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OtqError as exc:
         print(f"otq: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:
+        # Only a process pool raises BrokenExecutor, and the pool loaded it.
+        from concurrent.futures import BrokenExecutor
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"otq: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

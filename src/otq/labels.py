@@ -11,15 +11,12 @@ default 1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import SchemaError, SimilarityError
 from .tree import _payload, iter_lines, normalize_label
-
-log = logging.getLogger(__name__)
 
 # Policy marker for default_for_missing: fail on pairs absent from the table.
 REJECT = "reject"
@@ -91,8 +88,9 @@ def load_similarity_table(source: str | Path | Iterable[str | bytes],
         a, b = normalize_label(row["a"]), normalize_label(row["b"])
         key = (a, b) if a <= b else (b, a)
         if key in table:
-            log.warning("duplicate similarity pair %r at line %d, later value wins",
-                        key, lineno)
+            import logging
+            logging.getLogger(__name__).warning(
+                "duplicate similarity pair %r at line %d, later value wins", key, lineno)
         table[key] = sim
     return SimilarityProtocol(table, default_for_missing)
 

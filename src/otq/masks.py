@@ -12,14 +12,17 @@ together: when all of them are canonical text (ASCII digits separated by
 single spaces) it reads and checks their runs in one vectorized pass, and
 every other document is read one string at a time with ``int``, accepting
 whatever ``int`` accepts.  Either way one builder makes the windows.
-Erosion and dilation take 3x3 steps one at a time in numpy, each an AND or
-OR of shifted windows, and keep the step whose area is closest to a target;
-a step count is a chessboard distance (Rosenfeld and Pfaltz, 1966, 1968).
+Erosion and dilation pack a region's rows into one Python int and keep
+the 3x3 step count whose area is closest to a target; k steps are an
+erosion or dilation by a (2k + 1)-square, the pixels within chessboard
+distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is found by
+bisection, each jump an AND or OR of the int shifted by bits and by rows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 import numpy as np
@@ -482,62 +485,92 @@ def mask_difference(a: Mask, b: Mask) -> Mask:
                         a.window & ~_region(b, a.bbox))
 
 
-def _eroded(a: np.ndarray) -> np.ndarray:
-    """One 3x3 erosion of ``a``, with everything outside ``a`` off, cropped
-    by the ring it always clears.  The column pass makes the one new array;
-    the row pass ANDs each row with the next two in place."""
-    out = a[:, :-2] & a[:, 1:-1]
-    out &= a[:, 2:]
-    out[:-1] &= out[1:]
-    out[:-2] &= out[1:-1]
-    return out[:-2]
+def _grown(m: Mask, k: int) -> Box:
+    """``m``'s bbox grown by ``k`` pixels per side, clipped to the canvas:
+    the tight bbox of ``m`` after k dilation steps."""
+    r0, r1, c0, c1 = m.bbox
+    return max(r0 - k, 0), min(r1 + k, m.height), max(c0 - k, 0), min(c1 + k, m.width)
 
 
-def _dilated(a: np.ndarray, row0: int, col0: int, height: int,
-             width: int) -> tuple[np.ndarray, int, int]:
-    """One 3x3 dilation of ``a``, whose corner is at (row0, col0) on a
-    height x width canvas: ``a`` grown by one ring, clipped to the canvas,
-    and the result's corner.  The column pass fills the one new array, whose
-    two spare rows at each end let the row pass OR each row with the next
-    two in place."""
-    h, w = a.shape
-    out = np.zeros((h + 4, w + 2), dtype=bool)
-    cols = out[2:-2]
-    cols[:, :-2] = a
-    cols[:, 1:-1] |= a
-    cols[:, 2:] |= a
-    out[:-1] |= out[1:]
-    out[:-2] |= out[1:-1]
-    r0, r1 = max(row0 - 1, 0), min(row0 + h + 1, height)
-    c0, c1 = max(col0 - 1, 0), min(col0 + w + 1, width)
-    return out[r0 - row0 + 1:r1 - row0 + 1, c0 - col0 + 1:c1 - col0 + 1], r0, c0
+def _most_dilation_steps(m: Mask, target: float) -> int:
+    """The most steps a dilation of ``m`` toward ``target`` can take.  After
+    k steps a nonempty mask covers at least a (k + 1)-square clipped to the
+    canvas, so it is the smallest k with
+    min(k + 1, height) * min(k + 1, width) >= min(target, height * width)."""
+    need = math.ceil(min(target, m.height * m.width))
+    short = min(m.height, m.width)
+    side = math.isqrt(need)
+    side += side * side < need
+    if side > short:
+        side = -(-need // short)
+    return side - 1
 
 
 def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
-    """Erode or dilate ``m`` one 3x3 step at a time until its area passes
-    ``target``, then keep the closer of the last two steps (ties to the
-    later one).  A dilation that reaches full-canvas coverage stops there.
+    """Erode or dilate ``m`` by the fewest 3x3 steps after which its area
+    has passed ``target``, or by one step fewer if that is closer (ties to
+    the later step).  A dilation that reaches full-canvas coverage stops
+    there.
 
-    Only the last two steps' arrays are held.  Off-window pixels are
-    off-mask, so an erosion works on the window and each step crops the
-    ring it clears; a dilation grows its array by one ring per step,
-    clipped to the canvas."""
-    arr, row0, col0 = m.window, m.bbox[0], m.bbox[2]
-    area, k = m.area, 0
-    while area < min(target, m.height * m.width) if grow else area > target:
-        prev = arr, row0, col0, area
-        if grow:
-            arr, row0, col0 = _dilated(arr, row0, col0, m.height, m.width)
-        else:
-            arr, row0, col0 = _eroded(arr), row0 + 1, col0 + 1
-        area = int(np.count_nonzero(arr))
-        k += 1
-    if k and abs(area - target) > abs(prev[3] - target):
-        k -= 1
-        arr, row0, col0, _ = prev
-    if not k:
+    A region is packed into one int, row-major from bit 0, each row in
+    whole bytes and followed by at least ``guard`` zero bits: the bbox for
+    an erosion, as off-window pixels are off-mask, and for a dilation the
+    bbox grown by the most steps it can take, clipped to the canvas.  The
+    result of a + r steps for r <= a + 1 is the AND (erosion) or OR
+    (dilation) of the result of a steps shifted by -r, 0 and r bits, then
+    by -r, 0 and r rows.  So the step count is found by bisection between
+    0 and the most steps, with each jump r at most a + 1.  An erosion needs
+    one guard bit, as any run of bits that crosses rows holds a zero; a
+    dilation's guard is as wide as its longest jump, and it clears what it
+    spilled into the guard or past the region.  Only the kept step is
+    unpacked."""
+    cap = min(target, m.height * m.width)
+    if grow and m.area >= cap:
         return m
-    return Mask._placed(m.height, m.width, row0, col0, arr)
+    r0, r1, c0, c1 = m.bbox
+    if grow:
+        most = _most_dilation_steps(m, target)
+        box, guard = _grown(m, most), (most + 1) // 2
+    else:
+        most = (min(r1 - r0, c1 - c0) + 1) // 2  # erodes the bbox away
+        box, guard = m.bbox, 1
+    rows, cols = box[1] - box[0], box[3] - box[2]
+    row_bytes = (cols + guard + 7) // 8
+    stride = 8 * row_bytes
+    packed = np.zeros((r1 - r0, row_bytes), dtype=np.uint8)
+    packed[:, :(c1 - c0 + 7) // 8] = np.packbits(m.window, axis=1, bitorder="little")
+    bits = int.from_bytes(packed.tobytes(), "little") << (r0 - box[0]) * stride + c0 - box[2]
+    clip = int.from_bytes(((1 << cols) - 1).to_bytes(row_bytes, "little") * rows,
+                          "little") if grow else 0
+    # Steps lo leave the area short of the target; steps hi pass it.
+    lo, lo_bits, lo_area = 0, bits, m.area
+    hi, hi_bits, hi_area = most, None, 0
+    while hi_bits is None or hi - lo > 1:
+        r = min((hi - lo + 1) // 2, lo + 1)
+        if grow:
+            bits = lo_bits | lo_bits << r | lo_bits >> r
+            bits = (bits | bits << r * stride | bits >> r * stride) & clip
+        else:
+            bits = lo_bits & lo_bits << r & lo_bits >> r
+            bits &= bits << r * stride & bits >> r * stride
+        area = bits.bit_count()
+        if area >= cap if grow else area <= target:
+            hi, hi_bits, hi_area = lo + r, bits, area
+        else:
+            lo, lo_bits, lo_area = lo + r, bits, area
+    k, bits, area = hi, hi_bits, hi_area
+    if abs(area - target) > abs(lo_area - target):
+        k, bits, area = lo, lo_bits, lo_area
+        if not k:
+            return m
+    packed = np.frombuffer(bits.to_bytes(rows * row_bytes, "little"), dtype=np.uint8)
+    arr = np.unpackbits(packed.reshape(rows, row_bytes), axis=1, count=cols,
+                        bitorder="little").view(bool)
+    if not grow:
+        return Mask._placed(m.height, m.width, box[0], box[2], arr)
+    r0, r1, c0, c1 = tight = _grown(m, k)
+    return Mask._of(m.height, m.width, tight,
+                    np.array(arr[r0 - box[0]:r1 - box[0], c0 - box[2]:c1 - box[2]]), area)
 
 
 def erode(m: Mask, target_keep_ratio: float) -> Mask:
@@ -560,9 +593,10 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
 
     Stops at the step bracketing the target area; ties go to the grown side.
     A mask that cannot grow further (already canvas-maximal) is returned as is,
-    and one that reaches full coverage short of the target stops there.  Each
-    step works on the bbox grown by one pixel per step so far, clipped to the
-    canvas, never on the whole canvas unless the mask has grown across it.
+    and one that reaches full coverage short of the target stops there.  The
+    steps work on the bbox grown by the most steps the target allows,
+    clipped to the canvas, never on the whole canvas unless that box covers
+    it.
     """
     if target_grow_to_ratio < 1.0:
         raise MaskError(

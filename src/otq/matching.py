@@ -94,10 +94,10 @@ def _certified(wq: np.ndarray) -> list[tuple[int, int]] | None:
     best = wq.max(axis=1)
     rows = np.flatnonzero(best > 0)
     hits = wq[rows] == best[rows, None]
-    cols = hits.argmax(axis=1)
-    if np.count_nonzero(hits) != len(rows) or np.unique(cols).size != len(cols):
+    cols = hits.argmax(axis=1).tolist()
+    if np.count_nonzero(hits) != len(rows) or len(set(cols)) != len(cols):
         return None
-    return list(zip(rows.tolist(), cols.tolist()))
+    return list(zip(rows.tolist(), cols))
 
 
 def _solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,12 +7,11 @@ order, thread count, or platform.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
 def derive_seed(seed: int, key: str) -> int:
+    import hashlib  # loads OpenSSL, which only sampled degradations need
     digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "big")
 

@@ -107,7 +107,8 @@ class TestLazyImports:
                          "--ref", {str(corpus_path)!r}, "--jobs", "1",
                          "--out", {str(out)!r}]) == 0
             unused = ("otq.pipeline", "otq.stats", "otq.synth", "otq.audit",
-                      "concurrent.futures.process")
+                      "concurrent.futures", "concurrent.futures.process", "numpy.ma",
+                      "logging", "_hashlib")
             loaded = [name for name in sys.modules
                       if name in unused or name.split(".")[0] == "scipy"]
             assert not loaded, loaded

@@ -25,7 +25,7 @@ from otq import (
     size_bin,
     union_masks,
 )
-from otq.masks import overlapping_pairs, rle_decode_all
+from otq.masks import _most_dilation_steps, overlapping_pairs, rle_decode_all
 
 from conftest import rect
 from oracles import (
@@ -326,6 +326,132 @@ class TestMorphologyMatchesIteratedSteps:
             out, expected = erode(Mask(pixels), ratio), iterated_erode(pixels, ratio)
         assert out.area == after
         assert np.array_equal(out.pixels, expected)
+
+    # Fixed edge cases of the packed steps: each row is packed into whole
+    # bytes followed by zero guard bits, a step count is reached by jumps of
+    # several steps, and a dilation works on its bbox grown by the most
+    # steps it can take, clipped to the canvas.
+
+    @staticmethod
+    def _check(pixels, ratios):
+        mask = Mask(pixels)
+        for ratio in ratios:
+            if ratio < 1.0:
+                out, expected = erode(mask, ratio), iterated_erode(pixels, ratio)
+            else:
+                out, expected = dilate(mask, ratio), iterated_dilate(pixels, ratio)
+            assert np.array_equal(out.pixels, expected), ratio
+            assert out.area == int(np.count_nonzero(expected)), ratio
+            assert out == Mask(expected), ratio
+
+    RATIOS = (0.05, 0.3, 0.5, 0.9, 1.3, 2.0, 5.0, 40.0)
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 23), (23, 1), (2, 31), (31, 2)])
+    def test_one_and_two_pixel_wide_canvases(self, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        for _ in range(5):
+            pixels = rng.random((height, width)) < 0.6
+            pixels.flat[rng.integers(0, pixels.size)] = True
+            self._check(pixels, self.RATIOS)
+
+    @pytest.mark.parametrize("side", ["top", "bottom", "left", "right", "corner", "all"])
+    def test_masks_touching_canvas_edges(self, side):
+        height, width = 21, 26
+        pixels = np.zeros((height, width), dtype=bool)
+        rows = {"top": slice(0, 6), "bottom": slice(15, 21), "corner": slice(15, 21),
+                "all": slice(0, 21)}.get(side, slice(7, 14))
+        cols = {"left": slice(0, 7), "right": slice(19, 26), "corner": slice(19, 26),
+                "all": slice(0, 26)}.get(side, slice(9, 17))
+        pixels[rows, cols] = True
+        pixels[rows.start + 2, cols.start + 3] = False
+        self._check(pixels, self.RATIOS)
+
+    @pytest.mark.parametrize("width", [6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+    def test_row_widths_around_byte_and_word_boundaries(self, width):
+        rng = np.random.default_rng(width)
+        for height in (1, 3, 13):
+            pixels = rng.random((height, width)) < 0.85
+            pixels[:, 0] = pixels[:, -1] = True
+            self._check(pixels, self.RATIOS)
+            # The same mask with room to grow on a wider, taller canvas.
+            canvas = np.zeros((height + 9, width + 11), dtype=bool)
+            canvas[4:4 + height, 5:5 + width] = pixels
+            self._check(canvas, self.RATIOS)
+
+    def test_dilation_that_covers_the_canvas_short_of_its_target(self):
+        pixels = np.zeros((10, 12), dtype=bool)
+        pixels[4:7, 5:8] = True
+        for ratio in (13.4, 14.0, 50.0):  # the canvas has 120 = 13.3 x 9 pixels
+            assert dilate(Mask(pixels), ratio) == Mask.full(12, 10)
+        self._check(pixels, (13.2, 13.4, 50.0))
+
+    def test_erosion_down_to_nothing(self):
+        pixels = np.zeros((12, 15), dtype=bool)
+        pixels[2:10, 3] = pixels[5, 1:14] = True  # a one-pixel-wide cross
+        for ratio in (0.001, 0.01):
+            out = erode(Mask(pixels), ratio)
+            assert out.bbox is None and out.area == 0 and out.window.shape == (0, 0)
+        solid = np.zeros((12, 15), dtype=bool)
+        solid[1:11, 2:14] = True
+        self._check(solid, (0.001, 0.01, 0.05))
+
+    @pytest.mark.parametrize("height,width", [(3, 60), (60, 3), (5, 40)])
+    def test_canvas_narrower_than_the_step_bound_square(self, height, width):
+        # A target larger than the square of the short side: the bound on the
+        # steps comes from the long side.
+        pixels = np.zeros((height, width), dtype=bool)
+        pixels[height // 2, width // 2] = pixels[0, 0] = True
+        self._check(pixels, (2.0, 9.5, 30.0, 70.0, 500.0))
+
+    def test_jump_past_steps_the_canvas_clipped(self):
+        # A mask on the left canvas edge with a gap between its rows: jumping
+        # many steps at once from a canvas-clipped dilation loses the pixels
+        # left of the edge that the later steps grow from.
+        pixels = np.zeros((38, 18), dtype=bool)
+        pixels[21, 0] = True
+        pixels[22:24, 0:2] = True
+        pixels[25, 0:2] = True
+        self._check(pixels, (51.54214201374159, 20.0, 80.0))
+
+
+@st.composite
+def many_step_mask(draw):
+    """A rectangle of up to 48x48 on a canvas up to 6 pixels taller and
+    wider, with up to six pixels flipped, so that erosion and dilation take
+    many steps."""
+    h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    height, width = h + draw(st.integers(0, 6)), w + draw(st.integers(0, 6))
+    row, col = draw(st.integers(0, height - h)), draw(st.integers(0, width - w))
+    pixels = np.zeros((height, width), dtype=bool)
+    pixels[row:row + h, col:col + w] = True
+    spots = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    for r, c in draw(st.lists(spots, max_size=6)):
+        pixels[r, c] = not pixels[r, c]
+    assume(pixels.any())
+    return pixels
+
+
+class TestManyStepMorphology:
+    @given(many_step_mask(), st.floats(0.001, 1.0))
+    def test_erode(self, pixels, ratio):
+        out = erode(Mask(pixels), ratio).pixels
+        assert np.array_equal(out, iterated_erode(pixels, ratio))
+
+    @given(many_step_mask(), st.floats(1.0, 20.0))
+    def test_dilate(self, pixels, ratio):
+        out = dilate(Mask(pixels), ratio).pixels
+        assert np.array_equal(out, iterated_dilate(pixels, ratio))
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.floats(1.0, 6000.0))
+    def test_dilation_step_bound_is_the_least_sufficient(self, height, width, target):
+        # After k steps a single pixel in a canvas corner covers
+        # min(k + 1, height) x min(k + 1, width) pixels, the least any mask
+        # can cover.
+        need = min(target, height * width)
+        corner = Mask.from_rect(width, height, 0, 0, 1, 1)
+        least = next(k for k in range(max(height, width))
+                     if min(k + 1, height) * min(k + 1, width) >= need)
+        assert _most_dilation_steps(corner, target) == least
 
 
 @st.composite
