@@ -1,22 +1,30 @@
 """Binary instance masks: RLE codec, overlap geometry, morphology, size bins.
 
-A mask stores its canvas shape, its tight bounding box and a read-only
-boolean window of the bounding box's size, so its memory scales with the
-object, not with the canvas.  Decoding, encoding, area, overlap, union and
-difference work on windows and never build a full-canvas array; the same
-technique underlies the RLE-domain geometry of the COCO mask API.  The wire
-format is uncompressed COCO-style RLE: pixels are read in column-major order
-and encoded as space-separated run lengths, with the first run counting
-zeros (possibly 0).  ``rle_decode_all`` decodes the strings of one document
-together: when all of them are canonical text (ASCII digits separated by
-single spaces) it reads and checks their runs in one vectorized pass, and
-every other document is read one string at a time with ``int``, accepting
-whatever ``int`` accepts.  Either way one builder makes the windows.
-Erosion and dilation pack a region's rows into one Python int and keep
-the 3x3 step count whose area is closest to a target; k steps are an
-erosion or dilation by a (2k + 1)-square, the pixels within chessboard
-distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is found by
-bisection, each jump an AND or OR of the int shifted by bits and by rows.
+A mask stores its canvas shape, its tight bounding box and its pixels in
+one or both of two forms, so its memory scales with the object, not with
+the canvas: its foreground runs, and a read-only boolean window of the
+bounding box's size.  The wire format is uncompressed COCO-style RLE:
+pixels are read in column-major order and encoded as space-separated run
+lengths, with the first run counting zeros (possibly 0).
+``rle_decode_all`` decodes the strings of one document together: when all
+of them are canonical text (ASCII digits separated by single spaces) it
+reads and checks their runs in one vectorized pass, and every other
+document is read one string at a time with ``int``, accepting whatever
+``int`` accepts.  Either way its masks hold their runs, bbox and area and
+no window: the first mask of the document that needs one (morphology,
+union, difference, ``intersection_area``, ``iou``, ``containment``) builds
+the windows of all of them in one pass.  A mask made from pixels holds its
+window and derives its runs the first time they are needed (encoding,
+equality, scoring next to decoded masks).  Scoring reads many mask pairs of
+a tree at once through a ``RunTable``: ``pair_intersections`` joins their
+runs in one vectorized pass, the RLE-domain intersection of the COCO mask
+API's ``rleIou``, so scoring decoded masks builds no window; pairs of masks
+that all hold windows are intersected on them.  Erosion and dilation pack
+a region's rows into one Python int and keep the 3x3 step count whose area
+is closest to a target; k steps are an erosion or dilation by a
+(2k + 1)-square, the pixels within chessboard distance k (Rosenfeld and
+Pfaltz, 1966, 1968), and the count is found by bisection, each jump an AND
+or OR of the int shifted by bits and by rows.
 """
 
 from __future__ import annotations
@@ -35,10 +43,13 @@ _S_UPPER = 32**2
 _M_UPPER = 96**2
 
 Box = tuple[int, int, int, int]
+# The (starts, stops) of a mask's foreground runs.
+Runs = tuple[np.ndarray, np.ndarray]
 
-# The window of every empty mask.
+# The window and the runs of every empty mask.
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
 _NO_PIXELS.setflags(write=False)
+_NO_RUNS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 class SizeBin(enum.Enum):
@@ -52,38 +63,51 @@ class Mask:
     """A binary mask on a fixed ``height`` x ``width`` canvas.
 
     ``bbox`` is the tight bounding box ``(row0, row1, col0, col1)``,
-    half-open, or None for an empty mask.  ``window`` holds the pixels inside
-    ``bbox`` as a C-contiguous read-only array (shape (0, 0) when empty), also
-    after a pickle round trip.  ``pixels`` builds the full-canvas array on
-    demand for tests and oracles; nothing in the package reads it.  Do not
-    mutate a mask after construction.
+    half-open, or None for an empty mask.  A mask holds one or both of two
+    forms of its pixels.  Its runs are the half-open ``(start, stop)``
+    column-major canvas offsets of its foreground runs, as two int64 arrays.
+    Its ``window`` holds the pixels inside ``bbox`` as a C-contiguous
+    read-only array (shape (0, 0) when empty), also after a pickle round
+    trip.  A decoded mask holds its runs, as views into arrays shared by its
+    document, and its bbox and area; its window is built the first time any
+    mask of that document needs one, for the whole document at once.  A mask
+    made from pixels (``Mask(pixels)``, ``from_rect``, morphology, union,
+    difference) holds its window and derives its runs the first time they
+    are needed.  A mask without a window is pickled as its runs.  ``pixels``
+    builds the full-canvas array on demand for tests and oracles; nothing in
+    the package reads it.  Do not mutate a mask after construction.
     """
 
-    __slots__ = ("height", "width", "bbox", "window", "_area")
+    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs", "_source")
 
     def __init__(self, pixels: np.ndarray) -> None:
         """Mask of a full-canvas (height, width) boolean array."""
         arr = np.asarray(pixels, dtype=bool)
         if arr.ndim != 2:
             raise MaskError(f"mask must be 2-D, got shape {arr.shape}")
-        self._set(*arr.shape, *_tight(arr, 0, 0))
-
-    def _set(self, height: int, width: int, bbox: Box | None,
-             window: np.ndarray, area: int | None = None) -> None:
-        window.setflags(write=False)
-        self.height, self.width = height, width
-        self.bbox, self.window, self._area = bbox, window, area
+        self.height, self.width = arr.shape
+        self.bbox, self._window = _tight(arr, 0, 0)
+        self._window.setflags(write=False)
+        self._area = self._runs = self._source = None
 
     @classmethod
     def _of(cls, height: int, width: int, bbox: Box | None,
-            window: np.ndarray, area: int | None = None) -> "Mask":
-        """Mask of a window already cropped to the tight ``bbox``."""
+            window: np.ndarray | None, area: int | None = None,
+            runs: Runs | None = None, source: tuple[_Document, int] | None = None
+            ) -> "Mask":
+        """Mask of a window already cropped to the tight ``bbox``, or of the
+        runs of a decoded document's mask ``source = (document, index)``."""
         mask = cls.__new__(cls)
-        mask._set(height, width, bbox, window, area)
+        if window is not None:
+            window.setflags(write=False)
+        mask.height, mask.width, mask.bbox, mask._window = height, width, bbox, window
+        mask._area, mask._runs, mask._source = area, runs, source
         return mask
 
     def __reduce__(self):
-        return Mask._of, (self.height, self.width, self.bbox, self.window, self._area)
+        if self._window is None:
+            return _from_runs, (self.height, self.width, *self._runs)
+        return Mask._of, (self.height, self.width, self.bbox, self._window, self._area)
 
     @classmethod
     def _placed(cls, height: int, width: int, row0: int, col0: int,
@@ -91,6 +115,17 @@ class Mask:
         """Mask whose pixels are ``arr`` with its corner at (row0, col0) and
         False elsewhere; the window is trimmed to the tight bbox."""
         return cls._of(height, width, *_tight(arr, row0, col0))
+
+    @property
+    def window(self) -> np.ndarray:
+        """The pixels inside ``bbox``; a decoded mask's document builds them
+        on first use."""
+        if self._window is None:
+            # The window replaces the runs, which are derived again if needed,
+            # so that masks held in memory keep one form of their pixels.
+            document, index = self._source
+            self._window, self._source, self._runs = document.window(index), None, None
+        return self._window
 
     @property
     def area(self) -> int:
@@ -123,7 +158,7 @@ class Mask:
             raise MaskError(f"rectangle size must be positive, got {n_rows}x{n_cols}")
         r1, c1 = min(row + n_rows, height), min(col + n_cols, width)
         if row >= r1 or col >= c1:
-            return cls._of(height, width, None, _NO_PIXELS, 0)
+            return cls._of(height, width, None, _NO_PIXELS, 0, _NO_RUNS)
         return cls._of(height, width, (row, r1, col, c1),
                        np.ones((r1 - row, c1 - col), dtype=bool))
 
@@ -134,9 +169,10 @@ class Mask:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mask):
             return NotImplemented
+        # Runs are maximal, so equal pixels are equal runs.
         return (self.height, self.width, self.bbox) == (
-            other.height, other.width, other.bbox) and bool(
-            np.array_equal(self.window, other.window))
+            other.height, other.width, other.bbox) and all(
+            np.array_equal(x, y) for x, y in zip(_runs(self), _runs(other)))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -156,30 +192,40 @@ def _tight(arr: np.ndarray, row0: int, col0: int) -> tuple[Box | None, np.ndarra
             np.array(arr[r0:r1, c0:c1], dtype=bool, order="C"))
 
 
-def rle_encode(mask: Mask) -> str:
-    """Encode a mask as canonical uncompressed RLE over its canvas."""
-    size = mask.height * mask.width
-    if mask.bbox is None:
-        return str(size)
-    r0, _, c0, _ = mask.bbox
-    n_rows, n_cols = mask.window.shape
+def _runs(m: Mask) -> Runs:
+    """The (starts, stops) of ``m``'s foreground runs: maximal, so a run that
+    ends at the canvas's bottom row and resumes at the top of the next column
+    is one run.  A mask made from pixels derives them from its window once."""
+    if m._runs is None:
+        m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
+    return m._runs
+
+
+def _window_runs(m: Mask) -> Runs:
+    r0, _, c0, _ = m.bbox
+    n_rows, n_cols = m.window.shape
     # The window's columns in scan order, each between two False pixels, so
     # that every run boundary is an edge inside one column.
     scan = np.zeros((n_cols, n_rows + 2), dtype=np.int8)
-    scan[:, 1:-1] = mask.window.T
+    scan[:, 1:-1] = m.window.T
     flat = scan.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    col, row = np.divmod(edges, n_rows + 2)
-    bounds: list[int] = []
-    for b in ((col + c0) * mask.height + row + (r0 - 1)).tolist():
-        # A run that ends at the canvas's bottom row and resumes at the top
-        # of the next column is one run.
-        if bounds and bounds[-1] == b:
-            bounds.pop()
-        else:
-            bounds.append(b)
-    runs = [b - a for a, b in zip([0, *bounds], [*bounds, size])]
-    if runs[-1] == 0:
+    col, row = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, n_rows + 2)
+    bounds = (col + c0) * m.height + row + (r0 - 1)
+    starts, stops = bounds[0::2], bounds[1::2]
+    if n_rows == m.height:  # runs can continue into the next column
+        apart = starts[1:] != stops[:-1]
+        starts, stops = starts[np.append(True, apart)], stops[np.append(apart, True)]
+    return starts, stops
+
+
+def rle_encode(mask: Mask) -> str:
+    """Encode a mask as canonical uncompressed RLE over its canvas."""
+    size = mask.height * mask.width
+    starts, stops = _runs(mask)
+    bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
+    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, stops, size
+    runs = (bounds[1:] - bounds[:-1]).tolist()
+    if runs[-1] == 0 and len(runs) > 1:
         runs.pop()
     return " ".join(map(str, runs))
 
@@ -207,7 +253,9 @@ def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
     width * height.  The ``RleError`` raised is that of the first bad
     string, and its ``index`` attribute is that string's position.  A
     document whose strings together cover 2**62 pixels or more is refused
-    at index 0, as its pixel offsets would not fit in 64 bits.
+    at index 0, as its pixel offsets would not fit in 64 bits.  The masks
+    hold their runs, bbox and area; their windows are built together, the
+    first time one of them is needed.
     """
     if not rles:
         return []
@@ -227,7 +275,15 @@ def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
             raise exc
         counts = [len(r) for r in parsed]
         runs = np.array([r for rs in parsed for r in rs], dtype=np.int64)
-    return _build_masks(runs, counts, width, height)
+    # String i covers pixels [i * size, (i + 1) * size) of the concatenation
+    # of all strings, and its runs alternate background and foreground: its
+    # foreground runs are its odd-numbered ones.
+    lengths = np.array(counts)
+    owner, k = _spread(lengths // 2)
+    fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
+    ends = np.cumsum(runs)
+    shift = owner * (width * height)
+    return _run_masks(height, width, ends[fg - 1] - shift, ends[fg] - shift, lengths // 2)
 
 
 def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
@@ -259,7 +315,7 @@ def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
 
 # Bytes a canonical RLE document consists of.
 _CANONICAL_BYTES = b"0123456789 "
-# Window cells ``_build_masks`` fills per batch: the one buffer its batches
+# Window cells ``_build_windows`` fills per batch: the one buffer its batches
 # share holds at most this many plus one window.
 _PIXEL_BUDGET = 2**18
 
@@ -294,44 +350,87 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, np.arange(group.size) - (np.cumsum(lengths) - lengths)[group]
 
 
-def _build_masks(runs: np.ndarray, counts: list[int], width: int,
-                 height: int) -> list[Mask]:
-    """Masks of valid RLE strings whose runs, ``counts[i]`` of them for
-    string i, are concatenated in ``runs``.
+def _from_runs(height: int, width: int, starts: np.ndarray, stops: np.ndarray) -> Mask:
+    """The mask of one set of maximal runs, as a document of its own."""
+    return _run_masks(height, width, starts, stops, np.array([starts.size]))[0]
 
-    String i covers pixels [i * size, (i + 1) * size) of the concatenation,
-    which is a canvas of all strings side by side.  Foreground runs are
-    split at its column boundaries into segments; each mask's tight bbox and
-    area are reduced over its segments, and its window is filled by a +1/-1
+
+def _run_masks(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
+               counts: np.ndarray) -> list[Mask]:
+    """Masks of a document whose foreground runs, ``counts[i]`` of them for
+    mask i, are concatenated in ``starts`` and ``stops`` (canvas offsets).
+
+    A run's rows are those it covers in its first and last column, and all
+    of them if it crosses a column boundary; each mask's bbox and area are
+    reduced over its runs, and its runs are views into the document's."""
+    doc = _Document(height, starts, stops, counts)
+    # Masks are immutable, so the empty ones can be one object.
+    masks = [Mask._of(height, width, None, _NO_PIXELS, 0, _NO_RUNS)] * counts.size
+    if starts.size == 0:
+        return masks
+    first_col, last_col = starts // height, (stops - 1) // height
+    crosses = first_col != last_col
+    top = np.where(crosses, 0, starts - first_col * height)
+    bottom = np.where(crosses, height, stops - last_col * height)
+    edge = np.cumsum(counts) - counts
+    runs_of = np.flatnonzero(counts)
+    first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
+    info = zip(runs_of.tolist(), np.minimum.reduceat(top, first).tolist(),
+               np.maximum.reduceat(bottom, first).tolist(), first_col[first].tolist(),
+               (last_col[last] + 1).tolist(), np.add.reduceat(stops - starts, first).tolist(),
+               first.tolist(), (last + 1).tolist())
+    for i, r0, r1, c0, c1, area, a, b in info:
+        masks[i] = Mask._of(height, width, (r0, r1, c0, c1), None, area,
+                            (starts[a:b], stops[a:b]), (doc, i))
+    return masks
+
+
+class _Document:
+    """The runs of masks decoded together, and their windows once one of
+    them is needed."""
+
+    __slots__ = ("height", "starts", "stops", "counts", "windows")
+
+    def __init__(self, height: int, starts: np.ndarray, stops: np.ndarray,
+                 counts: np.ndarray) -> None:
+        starts.setflags(write=False)
+        stops.setflags(write=False)
+        self.height, self.starts, self.stops, self.counts = height, starts, stops, counts
+        self.windows: list[np.ndarray] | None = None
+
+    def window(self, index: int) -> np.ndarray:
+        if self.windows is None:
+            self.windows = _build_windows(self.starts, self.stops, self.counts,
+                                          self.height)
+        return self.windows[index]
+
+
+def _build_windows(starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
+                   height: int) -> list[np.ndarray]:
+    """Read-only windows of the masks whose runs, ``counts[i]`` of them for
+    mask i, are concatenated in ``starts`` and ``stops``.
+
+    Runs are split at column boundaries into segments; each mask's tight
+    bbox is reduced over its segments, and its window is filled by a +1/-1
     difference array and a cumulative sum, a budget of pixels at a time.
     """
-    lengths = np.array(counts)
-    # Runs alternate background and foreground: string i's foreground runs
-    # are its odd-numbered ones.
-    owner, k = _spread(lengths // 2)
-    fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
-    # Masks are immutable, so the empty ones can be one object.
-    masks = [Mask._of(height, width, None, _NO_PIXELS, 0)] * len(counts)
-    if fg.size == 0:
-        return masks
-    ends = np.cumsum(runs)
-    start, stop = ends[fg - 1], ends[fg]
-    del ends, fg, k
-    col0 = start // height
-    run, k = _spread((stop - 1) // height + 1 - col0)
+    windows = [_NO_PIXELS] * counts.size
+    if starts.size == 0:
+        return windows
+    owner = np.repeat(np.arange(counts.size), counts)
+    col0 = starts // height
+    run, k = _spread((stops - 1) // height + 1 - col0)
     col = col0[run] + k
-    top = np.maximum(start[run] - col * height, 0)
-    bottom = np.minimum(stop[run] - col * height, height)
+    top = np.maximum(starts[run] - col * height, 0)
+    bottom = np.minimum(stops[run] - col * height, height)
     owner = owner[run]
-    col -= owner * width
-    del start, stop, col0, run, k
+    del col0, run, k
     # Segments come grouped by mask, and ordered by column within a mask.
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     r0 = np.minimum.reduceat(top, first)
     r1 = np.maximum.reduceat(bottom, first)
     c0 = col[first]
     c1 = col[np.append(first[1:], col.size) - 1] + 1
-    area = np.add.reduceat(bottom - top, first)
     # Window j is laid out column by column in ``slots[j]`` cells, one
     # past each column's last row, so that a column's +1s and -1s cancel
     # and one cumulative sum fills many windows.
@@ -352,7 +451,7 @@ def _build_masks(runs: np.ndarray, counts: list[int], width: int,
                        (offset + slots)[j1 - 1].tolist()))
     scratch = np.empty(max(end - at for _, _, at, end in batches), dtype=np.int8)
     info = list(zip(owner[first].tolist(), r0.tolist(), r1.tolist(), c0.tolist(),
-                    c1.tolist(), area.tolist(), offset.tolist()))
+                    c1.tolist(), offset.tolist()))
     for j0, j1, at, end in batches:
         buf = scratch[:end - at]
         buf[:] = 0
@@ -360,12 +459,13 @@ def _build_masks(runs: np.ndarray, counts: list[int], width: int,
         buf[hi[edge[j0]:edge[j1]] - at] = -1
         np.add.accumulate(buf, out=buf)
         pixels = buf.view(bool)
-        for i, a, b, c, d, px, off in info[j0:j1]:
+        for i, a, b, c, d, off in info[j0:j1]:
             h = b - a
             column_major = pixels[off - at:off - at + (h + 1) * (d - c)].reshape(d - c, h + 1)
-            masks[i] = Mask._of(height, width, (a, b, c, d),
-                                np.array(column_major[:, :h].T, order="C"), px)
-    return masks
+            window = np.array(column_major[:, :h].T, order="C")
+            window.setflags(write=False)
+            windows[i] = window
+    return windows
 
 
 def _require_same_canvas(a: Mask, b: Mask) -> None:
@@ -405,18 +505,150 @@ def _region(m: Mask, box: Box) -> np.ndarray:
     return out
 
 
+def _boxes(masks: Sequence[Mask]) -> np.ndarray:
+    """The masks' bboxes as an (n, 4) array; an empty mask's box (0, 0, 0, 0)
+    overlaps no box."""
+    return np.array([m.bbox or (0, 0, 0, 0) for m in masks], dtype=np.int64).reshape(-1, 4)
+
+
+def boxes_meet(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Whether boxes ``ra`` and ``rb`` overlap, broadcast over their leading
+    axes; a box is ``(row0, row1, col0, col1)``, half-open, on the last
+    axis.  ``boxes_meet(ra[:, None], rb)`` is the matrix of all pairs."""
+    return ((ra[..., 0] < rb[..., 1]) & (rb[..., 0] < ra[..., 1])
+            & (ra[..., 2] < rb[..., 3]) & (rb[..., 2] < ra[..., 3]))
+
+
 def overlapping_pairs(a: Sequence[Mask], b: Sequence[Mask]) -> list[tuple[int, int]]:
     """Index pairs (i, j), in row-major order, of ``a[i]`` and ``b[j]`` whose
     bboxes overlap: the only pairs that can share a pixel.  Empty masks never
     pair.  All masks must share one canvas."""
     _require_one_canvas([*a, *b])
-    # An empty mask's box (0, 0, 0, 0) overlaps no box.
-    ra, rb = (np.array([m.bbox or (0, 0, 0, 0) for m in ms], dtype=np.int64).reshape(-1, 4)
-              for ms in (a, b))
-    hit = ((ra[:, None, 0] < rb[:, 1]) & (rb[:, 0] < ra[:, None, 1])
-           & (ra[:, None, 2] < rb[:, 3]) & (rb[:, 2] < ra[:, None, 3]))
-    rows, cols = np.nonzero(hit)
+    rows, cols = np.nonzero(boxes_meet(_boxes(a)[:, None], _boxes(b)))
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+# Table keys stay below this, so that no int64 sum of two of them overflows.
+_KEY_LIMIT = 2**62
+
+
+class RunTable:
+    """The masks of one list on one canvas, kept for scoring many pairs of
+    them at once (``pair_intersections``).
+
+    ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.  The run table is laid out on first use: the
+    runs of all masks end to end, sorted by ``starts``, mask m's shifted by
+    m canvas sizes; its runs are ``first[m]`` on, ``counts[m]`` of them.
+    The table pixels below a key y are ``min(y + lead[k], before[k])``, with
+    k the number of runs starting at or before y: ``before[k]`` counts the
+    pixels of runs 0 to k - 1, and ``lead[k]`` is ``before[k - 1]`` less the
+    start of run k - 1 (both 0 for k = 0).
+    """
+
+    __slots__ = ("masks", "size", "boxes", "areas", "starts", "stops", "lead", "before",
+                 "counts", "first", "_parts")
+
+    def __init__(self, masks: Sequence[Mask]) -> None:
+        _require_one_canvas(masks)
+        self.masks = list(masks)
+        self.size = masks[0].height * masks[0].width if masks else 0
+        self.boxes = _boxes(masks)
+        self.areas = np.array([m.area for m in masks], dtype=np.int64)
+        self.starts, self._parts = None, None
+
+    def joined(self, other: "RunTable") -> "RunTable":
+        """The table of this list's masks followed by ``other``'s."""
+        out = RunTable.__new__(RunTable)
+        out.masks, out.size = self.masks + other.masks, self.size or other.size
+        out.boxes = np.concatenate((self.boxes, other.boxes))
+        out.areas = np.concatenate((self.areas, other.areas))
+        out.starts, out._parts = None, (self, other)
+        return out
+
+    def _laid_out(self) -> bool:
+        """Lay the run table out, unless done; False if its keys would reach
+        2**62, which int64 sums of two keys could not hold."""
+        if self.starts is not None:
+            return True
+        if len(self.masks) * self.size >= _KEY_LIMIT:
+            return False
+        if self._parts is not None:
+            a, b = self._parts
+            a._laid_out()
+            b._laid_out()
+            shift, total = len(a.masks) * self.size, a.before[-1]
+            self.stops = np.concatenate((a.stops, b.stops + shift))
+            self.lead = np.concatenate((a.lead, b.lead[1:] + (total - shift)))
+            self.before = np.concatenate((a.before, b.before[1:] + total))
+            self.counts = np.concatenate((a.counts, b.counts))
+            self.first = np.concatenate((a.first, b.first + a.starts.size))
+            self.starts = np.concatenate((a.starts, b.starts + shift))
+            return True
+        runs = [_runs(m) for m in self.masks]
+        counts = np.array([s.size for s, _ in runs], dtype=np.int64)
+        shift = np.repeat(np.arange(counts.size) * self.size, counts)
+        starts, stops = (np.concatenate([r[k] for r in runs] or [_NO_RUNS[k]]) + shift
+                         for k in (0, 1))
+        before = np.zeros(starts.size + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=before[1:])
+        lead = np.zeros_like(before)
+        lead[1:] = before[:-1] - starts
+        self.stops, self.lead, self.before = stops, lead, before
+        self.counts, self.first = counts, np.cumsum(counts) - counts
+        self.starts = starts
+        return True
+
+
+def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Pixel counts of ``t.masks[i[k]]`` AND ``t.masks[j[k]]`` for every k, as
+    exact int64; the paired masks must be nonempty.
+
+    When every mask of the list holds its window, or the run table's keys
+    would reach 2**62, the pairs are intersected on their windows, one at a
+    time.  Otherwise they are joined on the run table: for each pair, the
+    runs of the mask with fewer runs that meet the other mask's span are
+    moved into the other mask's canvas of the table; each adds the table
+    pixels below its stop less those below its start, found with one
+    ``np.searchsorted``, and ``np.add.reduceat`` sums them per pair.  This
+    is the run-length intersection of the COCO mask API's ``rleIou``, done
+    for all pairs of an image at once.
+    """
+    if all(m._window is not None for m in t.masks) or not t._laid_out():
+        return np.array([_intersection(t.masks[x], t.masks[y])
+                         for x, y in zip(i.tolist(), j.tolist())], dtype=np.int64)
+    if i.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts, stops, counts, first = t.starts, t.stops, t.counts, t.first
+    # q is each pair's mask with fewer runs and o the other; d moves q's
+    # runs into o's canvas of the table.  Of q's runs, those that meet o's
+    # span, from its first start to its last stop, are looked up.
+    q = np.where(counts[i] > counts[j], j, i)
+    o = i + j - q
+    d = (o - q) * t.size
+    first_o = first[o]
+    lo = np.searchsorted(stops, starts[first_o] - d, side="right")
+    n = np.searchsorted(starts, stops[first_o + counts[o] - 1] - d) - lo
+    offset = np.cumsum(n) - n
+    run = np.arange(offset[-1] + n[-1]) + np.repeat(lo - offset, n)
+    shift = np.repeat(d, n)
+    y = np.concatenate((starts[run] + shift, stops[run] + shift))
+    k = np.searchsorted(starts, y, side="right")
+    covered = np.minimum(y + t.lead[k], t.before[k])
+    out = np.zeros(i.size, dtype=np.int64)
+    met = np.flatnonzero(n)
+    if met.size:
+        out[met] = np.add.reduceat(covered[run.size:] - covered[:run.size], offset[met])
+    return out
+
+
+def pair_ious(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """IoU of ``t.masks[i[k]]`` and ``t.masks[j[k]]`` for every k, as ``iou``
+    gives it: the exact intersection over the union, correctly rounded."""
+    inter = pair_intersections(t, i, j)
+    union = t.areas[i] + t.areas[j] - inter
+    if t.size >= 2**53:  # float64 holds every union exactly only below this
+        return np.array([x / u for x, u in zip(inter.tolist(), union.tolist())])
+    return inter / union
 
 
 def _intersection(a: Mask, b: Mask) -> int:

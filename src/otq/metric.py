@@ -37,10 +37,12 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .labels import SimilarityProtocol, similarity
-# Nothing here calls intersection_area; the name stays importable at this
-# attribute only so that the benchmark's traced run can wrap it.
-from .masks import Mask, intersection_area, iou  # noqa: F401
+# Nothing here calls intersection_area or iou; the names stay importable at
+# these attributes only so that the benchmark's traced run can wrap them.
+from .masks import intersection_area, iou  # noqa: F401
 from .matching import MatchResult, match_trees
 from .tree import (ROOT_ID, OpenTree, claim_image_id, corpus_index, located,
                    pair_by_image_id, parse_tree)
@@ -119,33 +121,26 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
 
     # Semantic identity of a node is its root-to-node label path; a TP node
     # can only attach to members of a strictly shorter path, so the result
-    # is acyclic by construction.
-    groups: dict[tuple[str, ...], list[tuple[int, Mask]]] = {}
-    for nid in tp_ids:
-        groups.setdefault(tree.label_paths[nid], []).append((nid, tree.nodes[nid].mask))
+    # is acyclic by construction.  A node's candidates at each ancestor level
+    # are the TP nodes whose path is that prefix of its own; those with a
+    # positive IoU are the TP pairs of ``tree.climb_pairs``, in climb order.
+    node, other, depth, ious = tree.climb_pairs
+    ids = list(tree.nodes)
+    is_tp = np.zeros(len(ids), dtype=bool)
+    is_tp[np.searchsorted(np.array(ids, dtype=np.int64), tp_ids)] = True
+    kept = np.flatnonzero(is_tp[node] & is_tp[other])
 
+    # The climb stops at the innermost level with a positive IoU and takes
+    # its best; the strict ``>`` breaks ties toward the smaller id.
     parent: dict[int, int] = {ROOT_ID: ROOT_ID}
-    for nid in tp_ids:
-        mask = tree.nodes[nid].mask
-        r0, r1, c0, c1 = mask.bbox  # TP masks are never empty
-        chosen = ROOT_ID
-        for anc in tree.ancestors(nid):
-            candidates = groups.get(tree.label_paths[anc])
-            if candidates:
-                # Candidates come in ascending id order, so the strict ``>``
-                # breaks ties toward the smaller id.  A candidate whose bbox
-                # misses the node's has IoU 0, so it can never be the
-                # positive best and is skipped unscored.
-                best = 0.0
-                for cid, cand in candidates:
-                    b = cand.bbox
-                    if b[0] < r1 and r0 < b[1] and b[2] < c1 and c0 < b[3]:
-                        score = iou(mask, cand)
-                        if score > best:
-                            best, chosen = score, cid
-                if best > 0:
-                    break
-        parent[nid] = chosen
+    parent.update(dict.fromkeys(tp_ids, ROOT_ID))
+    best: dict[int, tuple[int, float]] = {}
+    for n, c, level, score in zip(node[kept].tolist(), other[kept].tolist(),
+                                  depth[kept].tolist(), ious[kept].tolist()):
+        at, top = best.get(n, (level, 0.0))
+        if level == at and score > top:
+            best[n] = level, score
+            parent[ids[n]] = ids[c]
 
     path: dict[int, tuple[int, ...]] = {ROOT_ID: (ROOT_ID,)}
     # Skeleton parents always have a strictly shorter label path, so original

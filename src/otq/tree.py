@@ -29,8 +29,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TypeVar
 
+import numpy as np
+
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
-from .masks import Mask, rle_decode_all
+from .masks import Mask, RunTable, boxes_meet, pair_ious, rle_decode_all
 
 ROOT_ID = -1
 
@@ -68,10 +70,13 @@ class OpenTree:
 
     Construction normalizes labels and checks every structural invariant:
     unique ids, nonempty labels and masks, parents resolvable, acyclicity.
-    Children lists, depths and root-to-node label paths are precomputed.
+    Children lists, depths and root-to-node label paths are precomputed;
+    ``run_table`` and ``climb_pairs``, which scoring reads, are built on
+    first use and kept.
     """
 
-    __slots__ = ("canvas", "nodes", "children", "depths", "label_paths")
+    __slots__ = ("canvas", "nodes", "children", "depths", "label_paths", "_run_table",
+                 "_climb_pairs")
 
     def __init__(self, canvas: ImageCanvas, nodes: Iterable[InstanceNode]) -> None:
         if canvas.width < 1 or canvas.height < 1:
@@ -136,6 +141,54 @@ class OpenTree:
         self.children = {nid: tuple(kids) for nid, kids in children.items()}
         self.depths = depths
         self.label_paths = label_paths
+        self._run_table: RunTable | None = None
+        self._climb_pairs: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def run_table(self) -> RunTable:
+        """The node masks in id order as a ``masks.RunTable``."""
+        if self._run_table is None:
+            self._run_table = RunTable([node.mask for node in self.nodes.values()])
+        return self._run_table
+
+    @property
+    def climb_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(node, other, depth, iou)`` over the pairs of nodes with a
+        positive mask IoU in which the other node's label path is a proper
+        prefix of the node's: positions in id order, the prefix's length and
+        the IoU.  These are the pairs the skeleton climb
+        (``metric.build_skeleton``) chooses from, listed by node, longest
+        prefix first, then by position.  Pairs whose bboxes overlap are
+        scored in one call of ``masks.pair_ious``."""
+        if self._climb_pairs is None:
+            # A node's candidates, innermost level first: the nodes sharing
+            # the label path of each of its ancestors, in position order.
+            ids = list(self.nodes)
+            at = {nid: k for k, nid in enumerate(ids)}
+            groups: dict[tuple[str, ...], list[int]] = {}
+            members = [groups.setdefault(self.label_paths[nid], []) for nid in ids]
+            for k, group in enumerate(members):
+                group.append(k)
+            parent = [at.get(node.parent_id, -1) for node in self.nodes.values()]
+            depths = [self.depths[nid] for nid in ids]
+            node: list[int] = []
+            other: list[int] = []
+            depth: list[int] = []
+            for k, a in enumerate(parent):
+                while a >= 0:
+                    group = members[a]
+                    node += [k] * len(group)
+                    other += group
+                    depth += [depths[a]] * len(group)
+                    a = parent[a]
+            table = self.run_table
+            pairs = [np.array(x, dtype=np.int64) for x in (node, other, depth)]
+            meet = np.flatnonzero(boxes_meet(table.boxes[pairs[0]], table.boxes[pairs[1]]))
+            pairs = [x[meet] for x in pairs]
+            ious = pair_ious(table, pairs[0], pairs[1])
+            hit = np.flatnonzero(ious > 0)
+            self._climb_pairs = (*(x[hit] for x in pairs), ious[hit])
+        return self._climb_pairs
 
     @property
     def n_nodes(self) -> int:

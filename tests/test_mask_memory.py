@@ -1,5 +1,5 @@
 """Mask memory scales with object size: parsing and scoring never build a
-full-canvas array."""
+full-canvas array, and scoring parsed trees builds no window at all."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import otq.masks
 from otq import (
     ImageCanvas,
     InstanceNode,
@@ -65,6 +66,29 @@ def test_parse_of_large_windows_adds_little_to_them():
         f"parse peaked at {peak / 2**20:.1f} MiB for {windows / 2**20:.1f} MiB of windows")
 
 
+def test_lazy_windows_of_a_document_add_little_to_them():
+    # The same 60 nested rectangles: parsing builds no window, and the first
+    # window asked for builds all 60 in one pass, a budget at a time.
+    width, height = 1024, 768
+    nodes = [InstanceNode(i + 1, "thing",
+                          Mask.from_rect(width, height, i, i, height - 2 * i, width - 2 * i),
+                          ROOT_ID if i == 0 else i)
+             for i in range(60)]
+    tree = parse_tree(serialize_tree(OpenTree(ImageCanvas("nested", width, height), nodes)))
+
+    tracemalloc.start()
+    try:
+        tree.nodes[30].mask.window
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    windows = sum(node.mask.window.nbytes for node in tree.nodes.values())
+    assert windows > 38 * 2**20
+    assert peak < windows + 8 * 2**20, (
+        f"building the windows peaked at {peak / 2**20:.1f} MiB for "
+        f"{windows / 2**20:.1f} MiB of windows")
+
+
 def test_dilation_on_large_canvas_peaks_near_object_size():
     # A 10x10 rectangle grown to 4x its area on a 2048x2048 canvas; a
     # full-canvas array would take 4 MiB.
@@ -107,6 +131,10 @@ def _no_full_canvas(self):
     raise AssertionError("Mask.pixels built a full-canvas array")
 
 
+def _no_window(*args):
+    raise AssertionError("scoring built a window of a decoded document")
+
+
 @pytest.mark.parametrize("pred_fixture,ref_fixture", [
     ("chain_tree", "chain_tree"),
     ("two_branch_tree", "two_branch_tree"),
@@ -117,5 +145,6 @@ def test_scoring_path_never_reads_pixels(request, monkeypatch, pred_fixture, ref
     ref = request.getfixturevalue(ref_fixture)
     expected = evaluate_image(pred, ref, SimilarityProtocol.strict())
     monkeypatch.setattr(Mask, "pixels", property(_no_full_canvas))
+    monkeypatch.setattr(otq.masks, "_build_windows", _no_window)
     pred, ref = parse_tree(serialize_tree(pred)), parse_tree(serialize_tree(ref))
     assert evaluate_image(pred, ref, SimilarityProtocol.strict()) == expected
