@@ -6,20 +6,23 @@ the canvas: its foreground runs, and a read-only boolean window of the
 bounding box's size.  The wire format is uncompressed COCO-style RLE:
 pixels are read in column-major order and encoded as space-separated run
 lengths, with the first run counting zeros (possibly 0).
-``rle_decode_all`` decodes the strings of one document together: when all
-of them are canonical text (ASCII digits separated by single spaces) it
-reads and checks their runs in one vectorized pass, and every other
-document is read one string at a time with ``int``, accepting whatever
-``int`` accepts.  Either way its masks hold their runs, bbox and area and
-no window: the first mask of the document that needs one (morphology,
-union, difference, ``intersection_area``, ``iou``, ``containment``) builds
-the windows of all of them in one pass.  A mask made from pixels holds its
-window and derives its runs the first time they are needed (encoding,
-equality, scoring next to decoded masks).  Scoring reads many mask pairs of
-a tree at once through a ``RunTable``: ``pair_intersections`` joins their
-runs in one vectorized pass, the RLE-domain intersection of the COCO mask
-API's ``rleIou``, so scoring decoded masks builds no window; pairs of masks
-that all hold windows are intersected on them.  Erosion and dilation pack
+``rle_decode_table`` decodes the strings of one document together into a
+``RunTable``, the document's masks as columns (bboxes, areas and all their
+runs end to end), without making a ``Mask``: when all strings are
+canonical text (ASCII digits separated by single spaces) it reads and
+checks their runs in one vectorized pass, and every other document is read
+one string at a time with ``int``, accepting whatever ``int`` accepts.
+``RunTable.decoded_masks`` (and ``rle_decode_all``) makes the masks, each
+holding its bbox and area and reading its runs from the table; the first
+mask that needs a window (morphology, union, difference,
+``intersection_area``, ``iou``, ``containment``) builds the windows of all
+of them in one pass.  A mask made from pixels holds its window and derives
+its runs the first time they are needed (encoding, equality, scoring next
+to decoded masks).  Scoring reads many mask pairs of a tree at once
+through a ``RunTable``: ``pair_intersections`` joins their runs in one
+vectorized pass, the RLE-domain intersection of the COCO mask API's
+``rleIou``, so scoring decoded masks builds no window; pairs of masks that
+all hold windows are intersected on them.  Erosion and dilation pack
 a region's rows into one Python int and keep the 3x3 step count whose area
 is closest to a target; k steps are an erosion or dilation by a
 (2k + 1)-square, the pixels within chessboard distance k (Rosenfeld and
@@ -68,14 +71,13 @@ class Mask:
     column-major canvas offsets of its foreground runs, as two int64 arrays.
     Its ``window`` holds the pixels inside ``bbox`` as a C-contiguous
     read-only array (shape (0, 0) when empty), also after a pickle round
-    trip.  A decoded mask holds its runs, as views into arrays shared by its
-    document, and its bbox and area; its window is built the first time any
-    mask of that document needs one, for the whole document at once.  A mask
-    made from pixels (``Mask(pixels)``, ``from_rect``, morphology, union,
-    difference) holds its window and derives its runs the first time they
-    are needed.  A mask without a window is pickled as its runs.  ``pixels``
-    builds the full-canvas array on demand for tests and oracles; nothing in
-    the package reads it.  Do not mutate a mask after construction.
+    trip.  A decoded mask holds its bbox and area and points into the
+    ``RunTable`` it was decoded into, which gives its runs on request and
+    builds the windows of all its masks at once, the first time any of them
+    needs one.  A mask made from pixels (``Mask(pixels)``, ``from_rect``,
+    morphology, union, difference) holds its window and derives its runs
+    the first time they are needed.  A mask without a window is pickled as
+    its runs.  Do not mutate a mask after construction.
     """
 
     __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs", "_source")
@@ -93,10 +95,10 @@ class Mask:
     @classmethod
     def _of(cls, height: int, width: int, bbox: Box | None,
             window: np.ndarray | None, area: int | None = None,
-            runs: Runs | None = None, source: tuple[_Document, int] | None = None
+            runs: Runs | None = None, source: tuple[RunTable, int] | None = None
             ) -> "Mask":
-        """Mask of a window already cropped to the tight ``bbox``, or of the
-        runs of a decoded document's mask ``source = (document, index)``."""
+        """Mask of a window already cropped to the tight ``bbox``, or mask
+        ``index`` of a decoded run table, ``source = (table, index)``."""
         mask = cls.__new__(cls)
         if window is not None:
             window.setflags(write=False)
@@ -106,7 +108,7 @@ class Mask:
 
     def __reduce__(self):
         if self._window is None:
-            return _from_runs, (self.height, self.width, *self._runs)
+            return _from_runs, (self.height, self.width, *_runs(self))
         return Mask._of, (self.height, self.width, self.bbox, self._window, self._area)
 
     @classmethod
@@ -118,13 +120,13 @@ class Mask:
 
     @property
     def window(self) -> np.ndarray:
-        """The pixels inside ``bbox``; a decoded mask's document builds them
+        """The pixels inside ``bbox``; a decoded mask's run table builds them
         on first use."""
         if self._window is None:
             # The window replaces the runs, which are derived again if needed,
             # so that masks held in memory keep one form of their pixels.
-            document, index = self._source
-            self._window, self._source, self._runs = document.window(index), None, None
+            table, index = self._source
+            self._window, self._source, self._runs = table.window(index), None, None
         return self._window
 
     @property
@@ -132,13 +134,6 @@ class Mask:
         if self._area is None:
             self._area = int(np.count_nonzero(self.window))
         return self._area
-
-    @property
-    def pixels(self) -> np.ndarray:
-        """Full-canvas read-only (height, width) array, built on each call."""
-        out = _region(self, (0, self.height, 0, self.width))
-        out.setflags(write=False)
-        return out
 
     @classmethod
     def from_rle(cls, rle: str, width: int, height: int) -> "Mask":
@@ -195,9 +190,14 @@ def _tight(arr: np.ndarray, row0: int, col0: int) -> tuple[Box | None, np.ndarra
 def _runs(m: Mask) -> Runs:
     """The (starts, stops) of ``m``'s foreground runs: maximal, so a run that
     ends at the canvas's bottom row and resumes at the top of the next column
-    is one run.  A mask made from pixels derives them from its window once."""
+    is one run.  A decoded mask reads them from its table; a mask made from
+    pixels derives them from its window once."""
     if m._runs is None:
-        m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
+        if m._source is not None:
+            table, index = m._source
+            m._runs = table.runs(index)
+        else:
+            m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
     return m._runs
 
 
@@ -241,7 +241,15 @@ def rle_decode(rle: str, width: int, height: int) -> Mask:
 
 def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
     """Decode the RLE strings of one document, all on a (height, width)
-    canvas, into masks in the same order.
+    canvas, into masks in the same order: the masks of
+    ``rle_decode_table``."""
+    return rle_decode_table(rles, width, height).decoded_masks()
+
+
+def rle_decode_table(rles: Sequence[str], width: int, height: int) -> RunTable:
+    """Decode the RLE strings of one document, all on a (height, width)
+    canvas, into the ``RunTable`` of their masks in the same order, without
+    making a ``Mask``.
 
     When every string is canonical text (ASCII digits separated by single
     spaces) and the canvas has fewer than 2**31 pixels, the runs of all
@@ -253,12 +261,10 @@ def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
     width * height.  The ``RleError`` raised is that of the first bad
     string, and its ``index`` attribute is that string's position.  A
     document whose strings together cover 2**62 pixels or more is refused
-    at index 0, as its pixel offsets would not fit in 64 bits.  The masks
-    hold their runs, bbox and area; their windows are built together, the
-    first time one of them is needed.
+    at index 0, as its pixel offsets would not fit in 64 bits.
     """
     if not rles:
-        return []
+        return _decoded(height, width, *_NO_RUNS, np.zeros(0, dtype=np.int64))
     counts = [s.count(" ") + 1 for s in rles]
     runs = _canonical_runs(rles, counts, width, height)
     if runs is None:
@@ -276,14 +282,14 @@ def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
         counts = [len(r) for r in parsed]
         runs = np.array([r for rs in parsed for r in rs], dtype=np.int64)
     # String i covers pixels [i * size, (i + 1) * size) of the concatenation
-    # of all strings, and its runs alternate background and foreground: its
-    # foreground runs are its odd-numbered ones.
+    # of all strings, which are the table keys of mask i, and its runs
+    # alternate background and foreground: its foreground runs are its
+    # odd-numbered ones.
     lengths = np.array(counts)
     owner, k = _spread(lengths // 2)
     fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
     ends = np.cumsum(runs)
-    shift = owner * (width * height)
-    return _run_masks(height, width, ends[fg - 1] - shift, ends[fg] - shift, lengths // 2)
+    return _decoded(height, width, ends[fg - 1], ends[fg], lengths // 2)
 
 
 def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
@@ -351,58 +357,37 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_runs(height: int, width: int, starts: np.ndarray, stops: np.ndarray) -> Mask:
-    """The mask of one set of maximal runs, as a document of its own."""
-    return _run_masks(height, width, starts, stops, np.array([starts.size]))[0]
+    """The mask of one set of maximal runs, as a table of its own."""
+    return _decoded(height, width, starts, stops, np.array([starts.size])).decoded_masks()[0]
 
 
-def _run_masks(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
-               counts: np.ndarray) -> list[Mask]:
-    """Masks of a document whose foreground runs, ``counts[i]`` of them for
-    mask i, are concatenated in ``starts`` and ``stops`` (canvas offsets).
+def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
+             counts: np.ndarray) -> RunTable:
+    """The table of masks whose foreground runs, ``counts[i]`` of them for
+    mask i, are concatenated in ``starts`` and ``stops`` as table keys (mask
+    i's canvas offsets plus i canvas sizes).
 
     A run's rows are those it covers in its first and last column, and all
     of them if it crosses a column boundary; each mask's bbox and area are
-    reduced over its runs, and its runs are views into the document's."""
-    doc = _Document(height, starts, stops, counts)
-    # Masks are immutable, so the empty ones can be one object.
-    masks = [Mask._of(height, width, None, _NO_PIXELS, 0, _NO_RUNS)] * counts.size
-    if starts.size == 0:
-        return masks
-    first_col, last_col = starts // height, (stops - 1) // height
-    crosses = first_col != last_col
-    top = np.where(crosses, 0, starts - first_col * height)
-    bottom = np.where(crosses, height, stops - last_col * height)
-    edge = np.cumsum(counts) - counts
-    runs_of = np.flatnonzero(counts)
-    first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
-    info = zip(runs_of.tolist(), np.minimum.reduceat(top, first).tolist(),
-               np.maximum.reduceat(bottom, first).tolist(), first_col[first].tolist(),
-               (last_col[last] + 1).tolist(), np.add.reduceat(stops - starts, first).tolist(),
-               first.tolist(), (last + 1).tolist())
-    for i, r0, r1, c0, c1, area, a, b in info:
-        masks[i] = Mask._of(height, width, (r0, r1, c0, c1), None, area,
-                            (starts[a:b], stops[a:b]), (doc, i))
-    return masks
-
-
-class _Document:
-    """The runs of masks decoded together, and their windows once one of
-    them is needed."""
-
-    __slots__ = ("height", "starts", "stops", "counts", "windows")
-
-    def __init__(self, height: int, starts: np.ndarray, stops: np.ndarray,
-                 counts: np.ndarray) -> None:
-        starts.setflags(write=False)
-        stops.setflags(write=False)
-        self.height, self.starts, self.stops, self.counts = height, starts, stops, counts
-        self.windows: list[np.ndarray] | None = None
-
-    def window(self, index: int) -> np.ndarray:
-        if self.windows is None:
-            self.windows = _build_windows(self.starts, self.stops, self.counts,
-                                          self.height)
-        return self.windows[index]
+    reduced over its runs.  Mask i's columns in key order are its canvas
+    columns plus i * width."""
+    boxes = np.zeros((counts.size, 4), dtype=np.int64)
+    areas = np.zeros(counts.size, dtype=np.int64)
+    if starts.size:
+        first_col, last_col = starts // height, (stops - 1) // height
+        crosses = first_col != last_col
+        top = np.where(crosses, 0, starts - first_col * height)
+        bottom = np.where(crosses, height, stops - last_col * height)
+        edge = np.cumsum(counts) - counts
+        runs_of = np.flatnonzero(counts)
+        first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
+        shift = runs_of * width
+        boxes[runs_of, 0] = np.minimum.reduceat(top, first)
+        boxes[runs_of, 1] = np.maximum.reduceat(bottom, first)
+        boxes[runs_of, 2] = first_col[first] - shift
+        boxes[runs_of, 3] = last_col[last] + 1 - shift
+        areas[runs_of] = np.add.reduceat(stops - starts, first)
+    return RunTable._columns(height, width, boxes, areas, starts, stops, counts)
 
 
 def _build_windows(starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
@@ -533,74 +518,156 @@ _KEY_LIMIT = 2**62
 
 
 class RunTable:
-    """The masks of one list on one canvas, kept for scoring many pairs of
-    them at once (``pair_intersections``).
+    """The masks of one list on one canvas as columns, kept for scoring many
+    pairs of them at once (``pair_intersections``).
 
-    ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.  The run table is laid out on first use: the
-    runs of all masks end to end, sorted by ``starts``, mask m's shifted by
-    m canvas sizes; its runs are ``first[m]`` on, ``counts[m]`` of them.
-    The table pixels below a key y are ``min(y + lead[k], before[k])``, with
-    k the number of runs starting at or before y: ``before[k]`` counts the
-    pixels of runs 0 to k - 1, and ``lead[k]`` is ``before[k - 1]`` less the
-    start of run k - 1 (both 0 for k = 0).
+    ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.
+    The run table holds the runs of all masks end to end, sorted by
+    ``starts``, mask m's shifted by m canvas sizes; its runs are
+    ``first[m]`` on, ``counts[m]`` of them.  The table pixels below a key y
+    are ``min(y + lead[k], before[k])``, with k the number of runs starting
+    at or before y: ``before[k]`` counts the pixels of runs 0 to k - 1, and
+    ``lead[k]`` is ``before[k - 1]`` less the start of run k - 1 (both 0 for
+    k = 0).
+
+    A table made from a list of masks (``RunTable(masks)``) keeps them as
+    ``masks`` and lays its runs out on first use.  A decoded table
+    (``rle_decode_table``) has its runs from the start, ``masks`` None, and
+    ``windows`` None until one of its masks needs a window, when all of
+    them are built; ``decoded_masks`` makes its masks.
     """
 
-    __slots__ = ("masks", "size", "boxes", "areas", "starts", "stops", "lead", "before",
-                 "counts", "first", "_parts")
+    __slots__ = ("masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
+                 "lead", "before", "counts", "first", "windows", "_parts", "_canvas_runs")
 
     def __init__(self, masks: Sequence[Mask]) -> None:
         _require_one_canvas(masks)
         self.masks = list(masks)
-        self.size = masks[0].height * masks[0].width if masks else 0
+        self.height, self.width = (masks[0].height, masks[0].width) if masks else (0, 0)
+        self.size = self.height * self.width
         self.boxes = _boxes(masks)
         self.areas = np.array([m.area for m in masks], dtype=np.int64)
-        self.starts, self._parts = None, None
+        self.starts = self.before = self.windows = self._parts = None
+
+    @classmethod
+    def _columns(cls, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
+                 starts: np.ndarray, stops: np.ndarray, counts: np.ndarray) -> "RunTable":
+        """The decoded table of the given columns."""
+        t = cls.__new__(cls)
+        t.masks, t.height, t.width, t.size = None, height, width, height * width
+        starts.setflags(write=False)
+        stops.setflags(write=False)
+        t.boxes, t.areas, t.starts, t.stops, t.counts = boxes, areas, starts, stops, counts
+        t.first = np.cumsum(counts) - counts
+        t.before = t.windows = t._parts = t._canvas_runs = None
+        return t
 
     def joined(self, other: "RunTable") -> "RunTable":
         """The table of this list's masks followed by ``other``'s."""
         out = RunTable.__new__(RunTable)
-        out.masks, out.size = self.masks + other.masks, self.size or other.size
+        out.masks = (None if self.masks is None or other.masks is None
+                     else self.masks + other.masks)
+        canvas = self if self.size else other
+        out.height, out.width, out.size = canvas.height, canvas.width, canvas.size
         out.boxes = np.concatenate((self.boxes, other.boxes))
         out.areas = np.concatenate((self.areas, other.areas))
-        out.starts, out._parts = None, (self, other)
+        out.starts = out.before = out.windows = None
+        out._parts = (self, other)
         return out
+
+    def reordered(self, order: Sequence[int]) -> "RunTable":
+        """The decoded table of masks ``order[0]``, ``order[1]``, ... of this
+        decoded table."""
+        order = np.asarray(order, dtype=np.int64)
+        counts = self.counts[order]
+        owner, k = _spread(counts)
+        run = self.first[order][owner] + k
+        shift = (owner - order[owner]) * self.size
+        return RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
+                                 self.starts[run] + shift, self.stops[run] + shift, counts)
+
+    def decoded_masks(self) -> list[Mask]:
+        """The masks of a decoded table, each holding its bbox and area and
+        pointing back into the table for its runs and window."""
+        h, w = self.height, self.width
+        # Masks are immutable, so the empty ones can be one object.
+        empty = Mask._of(h, w, None, _NO_PIXELS, 0, _NO_RUNS)
+        return [Mask._of(h, w, box, None, area, None, (self, m)) if area else empty
+                for m, (box, area) in enumerate(zip(zip(*self.boxes.T.tolist()),
+                                                    self.areas.tolist()))]
+
+    def runs(self, index: int) -> Runs:
+        """The canvas runs of mask ``index`` of a decoded table, as views
+        into the table's runs less their shifts, computed for all masks on
+        the first call."""
+        if self._canvas_runs is None:
+            shift = np.repeat(np.arange(self.counts.size) * self.size, self.counts)
+            self._canvas_runs = self.starts - shift, self.stops - shift
+            for runs in self._canvas_runs:
+                runs.setflags(write=False)
+        a = int(self.first[index])
+        b = a + int(self.counts[index])
+        return self._canvas_runs[0][a:b], self._canvas_runs[1][a:b]
+
+    def window(self, index: int) -> np.ndarray:
+        """The window of mask ``index`` of a decoded table; the first call
+        builds them all."""
+        if self.windows is None:
+            self.windows = _build_windows(self.starts, self.stops, self.counts, self.height)
+        return self.windows[index]
 
     def _laid_out(self) -> bool:
         """Lay the run table out, unless done; False if its keys would reach
         2**62, which int64 sums of two keys could not hold."""
-        if self.starts is not None:
+        if self.before is not None:
             return True
-        if len(self.masks) * self.size >= _KEY_LIMIT:
+        if self.areas.size * self.size >= _KEY_LIMIT:
             return False
         if self._parts is not None:
             a, b = self._parts
             a._laid_out()
             b._laid_out()
-            shift, total = len(a.masks) * self.size, a.before[-1]
+            shift, total = a.areas.size * self.size, a.before[-1]
             self.stops = np.concatenate((a.stops, b.stops + shift))
             self.lead = np.concatenate((a.lead, b.lead[1:] + (total - shift)))
-            self.before = np.concatenate((a.before, b.before[1:] + total))
             self.counts = np.concatenate((a.counts, b.counts))
             self.first = np.concatenate((a.first, b.first + a.starts.size))
             self.starts = np.concatenate((a.starts, b.starts + shift))
+            self.before = np.concatenate((a.before, b.before[1:] + total))
             return True
-        runs = [_runs(m) for m in self.masks]
-        counts = np.array([s.size for s, _ in runs], dtype=np.int64)
-        shift = np.repeat(np.arange(counts.size) * self.size, counts)
-        starts, stops = (np.concatenate([r[k] for r in runs] or [_NO_RUNS[k]]) + shift
-                         for k in (0, 1))
-        before = np.zeros(starts.size + 1, dtype=np.int64)
-        np.cumsum(stops - starts, out=before[1:])
-        lead = np.zeros_like(before)
-        lead[1:] = before[:-1] - starts
-        self.stops, self.lead, self.before = stops, lead, before
-        self.counts, self.first = counts, np.cumsum(counts) - counts
-        self.starts = starts
+        if self.starts is None:
+            runs = [_runs(m) for m in self.masks]
+            counts = np.array([s.size for s, _ in runs], dtype=np.int64)
+            shift = np.repeat(np.arange(counts.size) * self.size, counts)
+            self.stops = np.concatenate([r for _, r in runs] or [_NO_RUNS[1]]) + shift
+            self.counts, self.first = counts, np.cumsum(counts) - counts
+            self.starts = np.concatenate([r for r, _ in runs] or [_NO_RUNS[0]]) + shift
+        before = np.zeros(self.starts.size + 1, dtype=np.int64)
+        np.cumsum(self.stops - self.starts, out=before[1:])
+        self.lead = np.zeros_like(before)
+        self.lead[1:] = before[:-1] - self.starts
+        self.before = before
         return True
 
 
+def _all_windows(t: RunTable, build: bool) -> list[np.ndarray] | None:
+    """The windows of ``t``'s masks in order, if each holds one or
+    ``build`` is set (which builds them); None otherwise.  A decoded table's
+    masks hold windows once it has built them."""
+    if t._parts is not None:
+        a, b = (_all_windows(part, build) for part in t._parts)
+        return None if a is None or b is None else a + b
+    if t.masks is None:
+        if build or t.windows is not None:
+            return [t.window(m) for m in range(t.areas.size)]
+        return None
+    if build or all(m._window is not None for m in t.masks):
+        return [m.window for m in t.masks]
+    return None
+
+
 def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Pixel counts of ``t.masks[i[k]]`` AND ``t.masks[j[k]]`` for every k, as
+    """Pixel counts of masks ``i[k]`` AND ``j[k]`` of ``t`` for every k, as
     exact int64; the paired masks must be nonempty.
 
     When every mask of the list holds its window, or the run table's keys
@@ -613,8 +680,12 @@ def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     is the run-length intersection of the COCO mask API's ``rleIou``, done
     for all pairs of an image at once.
     """
-    if all(m._window is not None for m in t.masks) or not t._laid_out():
-        return np.array([_intersection(t.masks[x], t.masks[y])
+    windows = _all_windows(t, build=False)
+    if windows is None and not t._laid_out():
+        windows = _all_windows(t, build=True)
+    if windows is not None:
+        boxes = t.boxes.tolist()
+        return np.array([_windows_and(boxes[x], windows[x], boxes[y], windows[y])
                          for x, y in zip(i.tolist(), j.tolist())], dtype=np.int64)
     if i.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -642,7 +713,7 @@ def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def pair_ious(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """IoU of ``t.masks[i[k]]`` and ``t.masks[j[k]]`` for every k, as ``iou``
+    """IoU of masks ``i[k]`` and ``j[k]`` of ``t`` for every k, as ``iou``
     gives it: the exact intersection over the union, correctly rounded."""
     inter = pair_intersections(t, i, j)
     union = t.areas[i] + t.areas[j] - inter
@@ -654,16 +725,23 @@ def pair_ious(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _intersection(a: Mask, b: Mask) -> int:
     """Pixel count of a AND b over their bbox overlap window; the caller has
     checked that the canvases match."""
-    if a.bbox is None or b.bbox is None:
+    if _overlap(a.bbox, b.bbox) is None:
         return 0
-    ar0, ar1, ac0, ac1 = a.bbox
-    br0, br1, bc0, bc1 = b.bbox
+    return _windows_and(a.bbox, a.window, b.bbox, b.window)
+
+
+def _windows_and(ab: Sequence[int], aw: np.ndarray, bb: Sequence[int],
+                 bw: np.ndarray) -> int:
+    """Pixel count of windows ``aw`` AND ``bw``, placed at the canvas boxes
+    ``ab`` and ``bb``, over the boxes' overlap."""
+    ar0, ar1, ac0, ac1 = ab
+    br0, br1, bc0, bc1 = bb
     r0, r1 = ar0 if ar0 > br0 else br0, ar1 if ar1 < br1 else br1
     c0, c1 = ac0 if ac0 > bc0 else bc0, ac1 if ac1 < bc1 else bc1
     if r0 >= r1 or c0 >= c1:
         return 0
-    return int(np.count_nonzero(a.window[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
-                                & b.window[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]))
+    return int(np.count_nonzero(aw[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
+                                & bw[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]))
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
@@ -842,7 +920,11 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
 
 def size_bin(m: Mask) -> SizeBin:
     """Classify a nonempty mask by pixel area into XS / S* / M / L."""
-    a = m.area
+    return area_bin(m.area)
+
+
+def area_bin(a: int) -> SizeBin:
+    """The size bin of a nonempty mask of ``a`` pixels."""
     if a == 0:
         raise MaskError("size bin undefined for an empty mask")
     if a < _XS_UPPER:

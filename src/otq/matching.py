@@ -257,8 +257,7 @@ def match_trees(pred: OpenTree, ref: OpenTree, tau_node: float = 0.5) -> MatchRe
         raise ValidationError(
             f"canvas mismatch: {pred.canvas} vs {ref.canvas}")
 
-    pred_ids = list(pred.nodes)  # nodes are kept in id order
-    ref_ids = list(ref.nodes)
+    pred_ids, ref_ids = pred.ids, ref.ids
     a, b = pred.run_table, ref.run_table
     weights = np.zeros((len(pred_ids), len(ref_ids)), dtype=np.float64)
     # Pairs with disjoint bboxes keep IoU 0; the rest are scored in one call.

@@ -99,9 +99,10 @@ def matched_node_quality(match: MatchResult, pred: OpenTree, ref: OpenTree,
     """(meanNQ, MQ, LQ) over TP pairs; all zeros with no TP matches."""
     if not match.tp:
         return 0.0, 0.0, 0.0
+    pred_label, ref_label = (dict(zip(t.ids, t.labels)) for t in (pred, ref))
     nq_sum = mq_sum = lq_sum = 0.0
     for pred_id, ref_id, pair_iou in match.tp:
-        sim = similarity(proto, pred.nodes[pred_id].label, ref.nodes[ref_id].label)
+        sim = similarity(proto, pred_label[pred_id], ref_label[ref_id])
         nq_sum += pair_iou * sim
         mq_sum += pair_iou
         lq_sum += sim
@@ -117,7 +118,8 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
         tp_ids = [r for _, r, _ in match.tp]
     else:
         raise ValueError(f"side must be 'pred' or 'ref', got {side!r}")
-    tp_ids = sorted(tp_ids)
+    at = dict(zip(tree.ids, range(len(tree.ids))))
+    tp_at = sorted(at[nid] for nid in tp_ids)
 
     # Semantic identity of a node is its root-to-node label path; a TP node
     # can only attach to members of a strictly shorter path, so the result
@@ -125,27 +127,29 @@ def build_skeleton(tree: OpenTree, match: MatchResult, side: str) -> Skeleton:
     # are the TP nodes whose path is that prefix of its own; those with a
     # positive IoU are the TP pairs of ``tree.climb_pairs``, in climb order.
     node, other, depth, ious = tree.climb_pairs
-    ids = list(tree.nodes)
+    ids = tree.ids
     is_tp = np.zeros(len(ids), dtype=bool)
-    is_tp[np.searchsorted(np.array(ids, dtype=np.int64), tp_ids)] = True
+    is_tp[tp_at] = True
     kept = np.flatnonzero(is_tp[node] & is_tp[other])
 
     # The climb stops at the innermost level with a positive IoU and takes
     # its best; the strict ``>`` breaks ties toward the smaller id.
     parent: dict[int, int] = {ROOT_ID: ROOT_ID}
-    parent.update(dict.fromkeys(tp_ids, ROOT_ID))
+    parent.update(dict.fromkeys((ids[k] for k in tp_at), ROOT_ID))
     best: dict[int, tuple[int, float]] = {}
     for n, c, level, score in zip(node[kept].tolist(), other[kept].tolist(),
                                   depth[kept].tolist(), ious[kept].tolist()):
-        at, top = best.get(n, (level, 0.0))
-        if level == at and score > top:
+        at_level, top = best.get(n, (level, 0.0))
+        if level == at_level and score > top:
             best[n] = level, score
             parent[ids[n]] = ids[c]
 
     path: dict[int, tuple[int, ...]] = {ROOT_ID: (ROOT_ID,)}
     # Skeleton parents always have a strictly shorter label path, so original
     # depth order resolves every parent before its children.
-    for nid in sorted(tp_ids, key=lambda n: tree.depths[n]):
+    depths = tree.node_depths.tolist()
+    for k in sorted(tp_at, key=depths.__getitem__):
+        nid = ids[k]
         path[nid] = path[parent[nid]] + (nid,)
     return Skeleton(parent=parent, path=path)
 

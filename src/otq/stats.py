@@ -9,8 +9,9 @@ multiset, recovers an external flat reference: per reference mask the best
 candidate is consumed greedily by IoU (one-to-one), then mean/median IoU
 over matched references and average recall over the IoU thresholds
 0.50:0.05:0.95 (plus AR@50/AR@75 and per-size-bin AR) are reported.
-Each side's masks are grouped per image by ``_masks_by_image`` and the
-two sides paired by ``tree.pair_by_image_id``.
+Each side's trees are keyed by image id and the two sides paired by
+``tree.pair_by_image_id``; each image's bbox-overlapping mask pairs are
+scored in one ``masks.pair_ious`` call on the two trees' run tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .masks import Mask, SizeBin, iou, overlapping_pairs, size_bin
+from .errors import MaskError
+from .masks import SizeBin, area_bin, boxes_meet, pair_ious
 from .tree import OpenTree, claim_image_id, pair_by_image_id
 
 DEPTH_ROWS = ("1", "2", "3", "4+")
@@ -82,10 +84,6 @@ class CompatReport:
                 f"{bins}\n")
 
 
-def _bin_name(mask: Mask) -> str:
-    return size_bin(mask).value
-
-
 def corpus_stats(corpus: Iterable[OpenTree]) -> CorpusStats:
     """Streaming scan; depth is measured on instance nodes (root excluded)."""
     n_images = 0
@@ -95,14 +93,13 @@ def corpus_stats(corpus: Iterable[OpenTree]) -> CorpusStats:
     counts = {col: {row: 0 for row in DEPTH_ROWS} for col in BIN_COLS}
     for tree in corpus:
         n_images += 1
-        for nid, node in tree.nodes.items():
-            n_masks += 1
-            labels.add(node.label)
-            depth = tree.depths[nid]
+        n_masks += tree.n_nodes
+        labels.update(tree.labels)
+        for depth, area in zip(tree.node_depths.tolist(), tree.run_table.areas.tolist()):
             max_depth = max(max_depth, depth)
             row = str(depth) if depth < 4 else "4+"
             counts["All"][row] += 1
-            counts[_bin_name(node.mask)][row] += 1
+            counts[area_bin(area).value][row] += 1
     depth_by_bin: dict[str, dict[str, float]] = {}
     for col in BIN_COLS:
         total = sum(counts[col].values())
@@ -120,17 +117,24 @@ def corpus_stats(corpus: Iterable[OpenTree]) -> CorpusStats:
     )
 
 
-def _greedy_match(ref_masks: list[Mask],
-                  cand_masks: list[Mask]) -> list[float]:
-    """Best-IoU one-to-one consumption; returns the matched IoU per reference
-    (0.0 for unmatched)."""
-    scored = [(value, ri, ci) for ri, ci in overlapping_pairs(ref_masks, cand_masks)
-              if (value := iou(ref_masks[ri], cand_masks[ci])) > 0.0]
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    matched = [0.0] * len(ref_masks)
+def _greedy_match(ref: OpenTree, cand: OpenTree) -> list[float]:
+    """Best-IoU one-to-one consumption of ``cand``'s masks by ``ref``'s, in
+    order of falling IoU, then reference and candidate position; returns
+    the matched IoU per reference node in id order (0.0 for unmatched)."""
+    a, b = ref.run_table, cand.run_table
+    if (a.height, a.width) != (b.height, b.width) and a.areas.size and b.areas.size:
+        raise MaskError(f"mask dimension mismatch: {ref.canvas.width}x{ref.canvas.height} "
+                        f"vs {cand.canvas.width}x{cand.canvas.height}")
+    rows, cols = np.nonzero(boxes_meet(a.boxes[:, None], b.boxes))
+    values = pair_ious(a.joined(b), rows, cols + a.areas.size)
+    hit = np.flatnonzero(values > 0.0)
+    rows, cols, values = rows[hit], cols[hit], values[hit]
+    ranked = np.lexsort((cols, rows, -values))
+    matched = [0.0] * a.areas.size
     used_ref: set[int] = set()
     used_cand: set[int] = set()
-    for value, ri, ci in scored:
+    for value, ri, ci in zip(values[ranked].tolist(), rows[ranked].tolist(),
+                             cols[ranked].tolist()):
         if ri in used_ref or ci in used_cand:
             continue
         used_ref.add(ri)
@@ -139,26 +143,29 @@ def _greedy_match(ref_masks: list[Mask],
     return matched
 
 
-def _masks_by_image(trees: Iterable[OpenTree]) -> dict[str, list[Mask]]:
-    """Each tree's masks under its image id; a repeated id raises ``CorpusError``."""
-    by_image: dict[str, list[Mask]] = {}
+def _by_image(trees: Iterable[OpenTree]) -> dict[str, OpenTree]:
+    """Each tree under its image id; a repeated id raises ``CorpusError``."""
+    by_image: dict[str, OpenTree] = {}
     for tree in trees:
-        claim_image_id(by_image, tree.canvas.image_id,
-                       [n.mask for n in tree.nodes.values()])
+        claim_image_id(by_image, tree.canvas.image_id, tree)
     return by_image
 
 
 def compat_eval(candidates: Iterable[OpenTree],
                 references: Iterable[OpenTree]) -> CompatReport:
     """Candidate trees (flattened to all their masks) vs flat references."""
-    pairs = pair_by_image_id(_masks_by_image(candidates), _masks_by_image(references),
+    pairs = pair_by_image_id(_by_image(candidates), _by_image(references),
                              "candidates", "references")
     matched_ious: list[float] = []
     bins: list[str] = []
-    for cands, refs in pairs:
-        matched_ious.extend(_greedy_match(refs, cands))
-        bins.extend(_bin_name(m) for m in refs)
+    for cand, ref in pairs:
+        matched_ious.extend(_greedy_match(ref, cand))
+        bins.extend(area_bin(area).value for area in ref.run_table.areas.tolist())
+    return _compat_report(matched_ious, bins)
 
+
+def _compat_report(matched_ious: list[float], bins: list[str]) -> CompatReport:
+    """The report of the matched IoU and size bin of every reference mask."""
     values = np.asarray(matched_ious, dtype=np.float64)
     positive = values[values > 0.0]
     mean_iou = float(positive.mean()) if positive.size else 0.0

@@ -4,6 +4,11 @@ A tree is a set of instance nodes (mask + open-vocabulary label + parent
 reference) over one image canvas, rooted at an artificial root vertex that
 carries no mask or label.  The root is represented by the reserved id
 ``ROOT_ID`` so that depth and ancestor computations have a concrete vertex.
+An ``OpenTree`` holds its nodes as columns in id order (ids, normalized
+labels, parent positions, depths) and their masks as one ``RunTable``;
+``parse_tree`` reads a document's fields into those columns and decodes its
+masks into the table without making an ``InstanceNode`` or ``Mask``, which
+only code that reads ``OpenTree.nodes`` builds.
 
 Wire format, one JSON document per image::
 
@@ -26,13 +31,14 @@ import tempfile
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
-from .masks import Mask, RunTable, boxes_meet, pair_ious, rle_decode_all
+from .masks import Mask, RunTable, _spread, boxes_meet, pair_ious, rle_decode_table
 
 ROOT_ID = -1
 
@@ -68,90 +74,165 @@ class InstanceNode:
 class OpenTree:
     """Validated, effectively immutable rooted tree of instance nodes.
 
-    Construction normalizes labels and checks every structural invariant:
-    unique ids, nonempty labels and masks, parents resolvable, acyclicity.
-    Children lists, depths and root-to-node label paths are precomputed;
-    ``run_table`` and ``climb_pairs``, which scoring reads, are built on
-    first use and kept.
+    A tree is held as columns over its nodes in id order: ``ids``, the
+    normalized ``labels``, ``parent_index`` (the position of each node's
+    parent, -1 for the root) and ``node_depths`` (edges from the root), plus
+    ``run_table``, the node masks as a ``masks.RunTable``.  Construction
+    checks every structural invariant: unique ids, nonempty labels and
+    masks, parents resolvable, acyclicity.  A parsed tree makes no
+    ``InstanceNode`` or ``Mask``: ``nodes``, the ``InstanceNode`` dict in id
+    order, is built from the columns the first time it is read, and so are
+    ``children``, ``depths`` and ``label_paths``.  ``climb_pairs``, which
+    scoring reads with ``run_table``, is built on first use and kept.
     """
 
-    __slots__ = ("canvas", "nodes", "children", "depths", "label_paths", "_run_table",
-                 "_climb_pairs")
-
     def __init__(self, canvas: ImageCanvas, nodes: Iterable[InstanceNode]) -> None:
-        if canvas.width < 1 or canvas.height < 1:
-            raise ValidationError(
-                f"canvas must be at least 1x1, got {canvas.width}x{canvas.height}")
+        nodes = list(nodes)
+        masks = [node.mask for node in nodes]
+        fault = next(((i, 3, f"mask of node {node.node_id} is {m.width}x{m.height}, "
+                       f"canvas is {canvas.width}x{canvas.height}")
+                      for i, (node, m) in enumerate(zip(nodes, masks))
+                      if m.width != canvas.width or m.height != canvas.height), None)
+        order = self._set_columns(canvas, [node.node_id for node in nodes],
+                                  [node.label for node in nodes],
+                                  [node.parent_id for node in nodes],
+                                  [m.area for m in masks], fault)
         by_id: dict[int, InstanceNode] = {}
-        for node in nodes:
-            if node.node_id == ROOT_ID:
-                raise ValidationError(
-                    f"node id {ROOT_ID} is reserved for the artificial root")
-            if node.node_id in by_id:
-                raise ValidationError(f"duplicate node id {node.node_id}")
-            label = normalize_label(node.label)
-            if not label:
-                raise ValidationError(f"empty label at node {node.node_id}")
-            if node.mask.width != canvas.width or node.mask.height != canvas.height:
-                raise ValidationError(
-                    f"mask of node {node.node_id} is {node.mask.width}x"
-                    f"{node.mask.height}, canvas is {canvas.width}x{canvas.height}")
-            if node.mask.area == 0:
-                raise ValidationError(f"empty mask at node {node.node_id}")
+        for k, label in zip(order or range(len(nodes)), self.labels):
+            node = nodes[k]
             if label != node.label:
                 node = InstanceNode(node.node_id, label, node.mask, node.parent_id)
             by_id[node.node_id] = node
+        self.nodes = by_id
 
-        for node in by_id.values():
-            if node.parent_id != ROOT_ID and node.parent_id not in by_id:
-                raise ValidationError(
-                    f"node {node.node_id} references unknown parent {node.parent_id}")
+    @classmethod
+    def _parsed(cls, canvas: ImageCanvas, ids: list[int], labels: list[str],
+                parents: list[int], table: RunTable) -> "OpenTree":
+        """The tree of a parsed document's node fields, in document order,
+        and the decoded table of its masks in the same order."""
+        tree = cls.__new__(cls)
+        order = tree._set_columns(canvas, ids, labels, parents, table.areas)
+        tree.run_table = table if order is None else table.reordered(order)
+        return tree
 
-        depths: dict[int, int] = {ROOT_ID: 0}
-        for start in by_id:
-            chain = []
-            cur = start
-            while cur not in depths:
-                if cur in chain:
-                    raise ValidationError(f"cycle at node {cur}")
-                chain.append(cur)
-                cur = by_id[cur].parent_id
-            base = depths[cur]
-            for offset, nid in enumerate(reversed(chain), start=1):
-                depths[nid] = base + offset
-        del depths[ROOT_ID]
+    def _set_columns(self, canvas: ImageCanvas, ids: list[int], labels: list[str],
+                     parents: list[int], areas: Sequence[int],
+                     fault: tuple[int, int, str] | None = None) -> list[int] | None:
+        """Validate the nodes' fields, given in one order, and set the
+        columns; returns the permutation into id order, or None when the
+        fields are in id order already.
 
-        ids = sorted(by_id)
-        children: dict[int, list[int]] = {ROOT_ID: []}
-        for nid in by_id:
-            children[nid] = []
-        for nid in ids:
-            children[by_id[nid].parent_id].append(nid)
+        The checks and their messages are those of a loop over the nodes in
+        the given order that raises at the first node that fails one, with
+        the reserved id first, then a repeated id, an empty label, a mask
+        off the canvas (``fault``, found by the caller) and an empty mask;
+        then the first node whose parent is unknown; then the first cycle a
+        walk up from each node in turn meets."""
+        if canvas.width < 1 or canvas.height < 1:
+            raise ValidationError(
+                f"canvas must be at least 1x1, got {canvas.width}x{canvas.height}")
+        normal = {label: normalize_label(label) for label in set(labels)}
+        labels = [normal[label] for label in labels]
+        known = set(ids)
+        faults = [] if fault is None else [fault]
+        if ROOT_ID in known:
+            faults.append((ids.index(ROOT_ID), 0,
+                           f"node id {ROOT_ID} is reserved for the artificial root"))
+        if len(known) < len(ids):
+            seen: set[int] = set()
+            i = next(i for i, nid in enumerate(ids) if nid in seen or seen.add(nid))
+            faults.append((i, 1, f"duplicate node id {ids[i]}"))
+        if "" in normal.values():
+            i = labels.index("")
+            faults.append((i, 2, f"empty label at node {ids[i]}"))
+        if 0 in areas:
+            i = list(areas).index(0)
+            faults.append((i, 4, f"empty mask at node {ids[i]}"))
+        if faults:
+            raise ValidationError(min(faults)[2])
+        if not set(parents) <= known | {ROOT_ID}:
+            nid, parent = next((nid, p) for nid, p in zip(ids, parents)
+                               if p != ROOT_ID and p not in known)
+            raise ValidationError(f"node {nid} references unknown parent {parent}")
 
-        label_paths: dict[int, tuple[str, ...]] = {ROOT_ID: ()}
-        stack = list(reversed(children[ROOT_ID]))
-        while stack:
-            nid = stack.pop()
-            node = by_id[nid]
-            label_paths[nid] = label_paths[node.parent_id] + (node.label,)
-            stack.extend(reversed(children[nid]))
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        in_order = order == list(range(n))
+        sorted_ids = ids if in_order else [ids[k] for k in order]
+        at = dict(zip(sorted_ids, range(n)))
+        at[ROOT_ID] = -1
+        parent_index = np.array([at[parents[k]] for k in order], dtype=np.int64)
+        # Pointer jumping: after r rounds ``up`` is 2**r steps above each
+        # node, or the root, and ``depth`` counts the edges up to it; every
+        # chain reaches the root within n.bit_length() rounds unless it
+        # ends in a cycle.
+        depth = np.ones(n, dtype=np.int64)
+        up = parent_index.copy()
+        for _ in range(n.bit_length() + 1):
+            live = np.flatnonzero(up >= 0)
+            if not live.size:
+                break
+            above = up[live]
+            depth[live] += depth[above]
+            up[live] = up[above]
+        else:
+            raise ValidationError(f"cycle at node {_first_cycle(ids, parents)}")
+        self.canvas, self.ids = canvas, sorted_ids
+        self.labels = labels if in_order else [labels[k] for k in order]
+        self.parent_index, self.node_depths = parent_index, depth
+        return None if in_order else order
 
-        self.canvas = canvas
-        self.nodes = {nid: by_id[nid] for nid in ids}
-        self.children = {nid: tuple(kids) for nid, kids in children.items()}
-        self.depths = depths
-        self.label_paths = label_paths
-        self._run_table: RunTable | None = None
-        self._climb_pairs: tuple[np.ndarray, ...] | None = None
+    @cached_property
+    def nodes(self) -> dict[int, InstanceNode]:
+        """The ``InstanceNode`` of each id, in id order; a parsed tree makes
+        them, and their masks, from its columns the first time this is
+        read."""
+        parents = [ROOT_ID if p < 0 else self.ids[p] for p in self.parent_index.tolist()]
+        return {nid: InstanceNode(nid, label, mask, parent) for nid, label, mask, parent
+                in zip(self.ids, self.labels, self.run_table.decoded_masks(), parents)}
 
-    @property
+    @cached_property
     def run_table(self) -> RunTable:
         """The node masks in id order as a ``masks.RunTable``."""
-        if self._run_table is None:
-            self._run_table = RunTable([node.mask for node in self.nodes.values()])
-        return self._run_table
+        return RunTable([node.mask for node in self.nodes.values()])
 
-    @property
+    @cached_property
+    def depths(self) -> dict[int, int]:
+        """Each node's edge distance from the artificial root."""
+        return dict(zip(self.ids, self.node_depths.tolist()))
+
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        """Each node's children, and the root's under ``ROOT_ID``, in id
+        order."""
+        kids: dict[int, list[int]] = {nid: [] for nid in [ROOT_ID, *self.ids]}
+        for nid, p in zip(self.ids, self.parent_index.tolist()):
+            kids[ROOT_ID if p < 0 else self.ids[p]].append(nid)
+        return {nid: tuple(c) for nid, c in kids.items()}
+
+    @cached_property
+    def label_paths(self) -> dict[int, tuple[str, ...]]:
+        """Each node's root-to-node label path; the root's is ``()``."""
+        paths: list[tuple[str, ...]] = [()] * len(self.ids)
+        parent = self.parent_index.tolist()
+        for k in np.argsort(self.node_depths, kind="stable").tolist():
+            paths[k] = (paths[parent[k]] if parent[k] >= 0 else ()) + (self.labels[k],)
+        return {ROOT_ID: (), **dict(zip(self.ids, paths))}
+
+    def _label_groups(self) -> np.ndarray:
+        """Each node's label-path group: nodes share one exactly when their
+        label paths are equal.  Groups are numbered in order of first
+        appearance by depth, then position."""
+        # Parents come before children in depth order; the root's position
+        # -1 reads the sentinel group -1 at the end.
+        group = [0] * len(self.ids) + [-1]
+        number: dict[tuple[int, str], int] = {}
+        parent, labels = self.parent_index.tolist(), self.labels
+        for k in np.argsort(self.node_depths, kind="stable").tolist():
+            group[k] = number.setdefault((group[parent[k]], labels[k]), len(number))
+        return np.array(group[:-1], dtype=np.int64)
+
+    @cached_property
     def climb_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(node, other, depth, iou)`` over the pairs of nodes with a
         positive mask IoU in which the other node's label path is a proper
@@ -160,40 +241,41 @@ class OpenTree:
         (``metric.build_skeleton``) chooses from, listed by node, longest
         prefix first, then by position.  Pairs whose bboxes overlap are
         scored in one call of ``masks.pair_ious``."""
-        if self._climb_pairs is None:
-            # A node's candidates, innermost level first: the nodes sharing
-            # the label path of each of its ancestors, in position order.
-            ids = list(self.nodes)
-            at = {nid: k for k, nid in enumerate(ids)}
-            groups: dict[tuple[str, ...], list[int]] = {}
-            members = [groups.setdefault(self.label_paths[nid], []) for nid in ids]
-            for k, group in enumerate(members):
-                group.append(k)
-            parent = [at.get(node.parent_id, -1) for node in self.nodes.values()]
-            depths = [self.depths[nid] for nid in ids]
-            node: list[int] = []
-            other: list[int] = []
-            depth: list[int] = []
-            for k, a in enumerate(parent):
-                while a >= 0:
-                    group = members[a]
-                    node += [k] * len(group)
-                    other += group
-                    depth += [depths[a]] * len(group)
-                    a = parent[a]
-            table = self.run_table
-            pairs = [np.array(x, dtype=np.int64) for x in (node, other, depth)]
-            meet = np.flatnonzero(boxes_meet(table.boxes[pairs[0]], table.boxes[pairs[1]]))
-            pairs = [x[meet] for x in pairs]
-            ious = pair_ious(table, pairs[0], pairs[1])
-            hit = np.flatnonzero(ious > 0)
-            self._climb_pairs = (*(x[hit] for x in pairs), ious[hit])
-        return self._climb_pairs
+        # Walk up one level at a time over the nodes still below the root,
+        # so that the pairs number the sum of the depths; a stable sort by
+        # node then lists every (node, ancestor) pair by node, innermost
+        # ancestor first.
+        node, above = np.arange(len(self.ids)), self.parent_index
+        nodes, aboves = [], []
+        while node.size:
+            live = np.flatnonzero(above >= 0)
+            node, above = node[live], above[live]
+            nodes.append(node)
+            aboves.append(above)
+            above = self.parent_index[above]
+        node, above = np.concatenate(nodes or [node]), np.concatenate(aboves or [above])
+        by_node = np.argsort(node, kind="stable")
+        node, above = node[by_node], above[by_node]
+        # An ancestor stands for the nodes sharing its label path, in
+        # position order: the members of its group.
+        group = self._label_groups()
+        members = np.argsort(group, kind="stable")
+        size = np.bincount(group)
+        g = group[above]
+        owner, j = _spread(size[g])
+        other = members[(np.cumsum(size) - size)[g][owner] + j]
+        node, depth = node[owner], self.node_depths[above][owner]
+        table = self.run_table
+        meet = np.flatnonzero(boxes_meet(table.boxes[node], table.boxes[other]))
+        node, other, depth = node[meet], other[meet], depth[meet]
+        ious = pair_ious(table, node, other)
+        hit = np.flatnonzero(ious > 0)
+        return node[hit], other[hit], depth[hit], ious[hit]
 
     @property
     def n_nodes(self) -> int:
         """Number of instance nodes (the artificial root is not counted)."""
-        return len(self.nodes)
+        return len(self.ids)
 
     def depth(self, node_id: int) -> int:
         """Edge distance from the artificial root; the root itself has depth 0."""
@@ -221,10 +303,10 @@ class OpenTree:
         return out
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(nid for nid in self.nodes if not self.children[nid])
+        return tuple(nid for nid in self.ids if not self.children[nid])
 
     def internal_ids(self) -> tuple[int, ...]:
-        return tuple(nid for nid in self.nodes if self.children[nid])
+        return tuple(nid for nid in self.ids if self.children[nid])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpenTree):
@@ -236,6 +318,23 @@ class OpenTree:
     def __repr__(self) -> str:
         return (f"OpenTree({self.canvas.image_id!r}, "
                 f"{self.canvas.width}x{self.canvas.height}, {self.n_nodes} nodes)")
+
+
+def _first_cycle(ids: list[int], parents: list[int]) -> int:
+    """The node at which a walk up from each node in turn, in the given
+    order, first meets a node already on its own path."""
+    parent_of = dict(zip(ids, parents))
+    done = {ROOT_ID}
+    for start in ids:
+        chain: list[int] = []
+        cur = start
+        while cur not in done:
+            if cur in chain:
+                return cur
+            chain.append(cur)
+            cur = parent_of[cur]
+        done.update(chain)
+    raise AssertionError("no cycle")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -279,12 +378,28 @@ def _node_fields(i: int, raw: object) -> tuple[int, str, int | None, str]:
     return nid, label, parent, rle
 
 
+def _node_columns(raw_nodes: list) -> tuple[list, list, list, list, SchemaError | None]:
+    """The id, label, parent and rle columns of the raw nodes before the
+    first one that fails ``_node_fields``, and its ``SchemaError`` (None if
+    none fails)."""
+    fields, error = [], None
+    for i, raw in enumerate(raw_nodes):
+        try:
+            fields.append(_node_fields(i, raw))
+        except SchemaError as exc:
+            error = exc
+            break
+    return (*([f[k] for f in fields] for k in range(4)), error)
+
+
 def parse_tree(document: str | bytes) -> OpenTree:
     """Parse and fully validate one per-image JSON document.
 
-    All masks are decoded together by ``masks.rle_decode_all``; the error
-    reported is still that of the first bad node in document order, whether
-    its schema or its RLE is at fault.
+    All masks are decoded together into one run table by
+    ``masks.rle_decode_table``, and the tree is built from the fields as
+    columns, with no ``InstanceNode`` or ``Mask``; the error reported is
+    still that of the first bad node in document order, whether its schema
+    or its RLE is at fault.
     """
     payload = _payload(document)
     _require(isinstance(payload, dict), "document must be a JSON object")
@@ -294,23 +409,15 @@ def parse_tree(document: str | bytes) -> OpenTree:
     _require(isinstance(payload.get("nodes"), list), "nodes must be a list")
 
     canvas = ImageCanvas(payload["image_id"], payload["width"], payload["height"])
-    fields = []
-    schema_error = None
-    for i, raw in enumerate(payload["nodes"]):
-        try:
-            fields.append(_node_fields(i, raw))
-        except SchemaError as exc:
-            schema_error = exc
-            break
+    ids, labels, parents, rles, schema_error = _node_columns(payload["nodes"])
     try:
-        masks = rle_decode_all([f[3] for f in fields], canvas.width, canvas.height)
+        table = rle_decode_table(rles, canvas.width, canvas.height)
     except RleError as exc:
-        raise ValidationError(f"node {fields[exc.index][0]}: {exc}") from exc
+        raise ValidationError(f"node {ids[exc.index]}: {exc}") from exc
     if schema_error is not None:
         raise schema_error
-    return OpenTree(canvas, [
-        InstanceNode(nid, label, mask, ROOT_ID if parent is None else parent)
-        for (nid, label, parent, _), mask in zip(fields, masks)])
+    return OpenTree._parsed(canvas, ids, labels,
+                            [ROOT_ID if p is None else p for p in parents], table)
 
 
 def serialize_tree(tree: OpenTree) -> str:

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: assignments by exhaustive
 enumeration, depths by BFS over an adjacency list, LCA by ancestor-set
 intersection, skeletons by a direct reading of the climbing rule on full
-mask arrays, a whole per-image report
+mask arrays, climb pairs by a walk up from each node, a whole per-image report
 by a direct reading of the metric, the RLE codec and mask overlaps on
-full-canvas arrays, morphology by one 3x3 step at a time, corpus
+full-canvas arrays (``canvas_pixels``), morphology by one 3x3 step at a time, corpus
 aggregation by one hand-written sum per field and mode.  Nothing imports
 the modules under test beyond data types.
 """
@@ -17,8 +17,19 @@ import itertools
 import numpy as np
 from scipy import ndimage
 
-from otq import ROOT_ID, OpenTree, RleError
+from otq import ROOT_ID, Mask, OpenTree, RleError
 from otq.metric import OtqReport
+
+
+def canvas_pixels(mask: Mask) -> np.ndarray:
+    """The full-canvas read-only (height, width) array of a mask: its window
+    placed at its bbox."""
+    out = np.zeros((mask.height, mask.width), dtype=bool)
+    if mask.bbox is not None:
+        r0, r1, c0, c1 = mask.bbox
+        out[r0:r1, c0:c1] = mask.window
+    out.setflags(write=False)
+    return out
 
 
 def brute_force_max_total(weights: np.ndarray) -> int:
@@ -90,11 +101,79 @@ def _pixel_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
+def _window_iou(a: Mask, b: Mask) -> float:
+    """IoU of two masks whose bboxes overlap, drawn on the union of the
+    bboxes."""
+    (ar0, ar1, ac0, ac1), (br0, br1, bc0, bc1) = a.bbox, b.bbox
+    r0, c0 = min(ar0, br0), min(ac0, bc0)
+    drawn = []
+    for m, (m0, m1, n0, n1) in ((a, a.bbox), (b, b.bbox)):
+        canvas = np.zeros((max(ar1, br1) - r0, max(ac1, bc1) - c0), dtype=bool)
+        canvas[m0 - r0:m1 - r0, n0 - c0:n1 - c0] = m.window
+        drawn.append(canvas)
+    return _pixel_iou(*drawn)
+
+
+def greedy_compat_inputs(candidates: list[OpenTree], references: list[OpenTree]
+                         ) -> tuple[list[float], list[str]]:
+    """For every reference mask, by image id and then node id: the IoU of
+    the candidate mask it consumes, one pair at a time in order of falling
+    IoU, then reference and candidate id (0.0 if none), and its size bin
+    (XS < 10**2 <= S* < 32**2 <= M < 96**2 <= L pixels)."""
+    by_id = {t.canvas.image_id: t for t in candidates}
+    ious: list[float] = []
+    bins: list[str] = []
+    for ref in sorted(references, key=lambda t: t.canvas.image_id):
+        refs = [n.mask for n in ref.nodes.values()]
+        cands = [n.mask for n in by_id[ref.canvas.image_id].nodes.values()]
+        a, b = (np.array([m.bbox for m in ms], dtype=np.int64).reshape(-1, 4)
+                for ms in (refs, cands))
+        meet = ((a[:, None, 0] < b[None, :, 1]) & (b[None, :, 0] < a[:, None, 1])
+                & (a[:, None, 2] < b[None, :, 3]) & (b[None, :, 2] < a[:, None, 3]))
+        scored = sorted((-value, i, j) for i, j in zip(*np.nonzero(meet))
+                        if (value := _window_iou(refs[i], cands[j])) > 0)
+        matched = [0.0] * len(refs)
+        used_ref: set[int] = set()
+        used_cand: set[int] = set()
+        for value, i, j in scored:
+            if i not in used_ref and j not in used_cand:
+                used_ref.add(i)
+                used_cand.add(j)
+                matched[i] = -value
+        ious.extend(matched)
+        bins.extend("XS" if m.area < 10**2 else "S*" if m.area < 32**2
+                    else "M" if m.area < 96**2 else "L" for m in refs)
+    return ious, bins
+
+
+def naive_climb_pairs(tree: OpenTree) -> list[tuple[int, int, int, float]]:
+    """``(node, other, depth, iou)`` by a walk up from each node in id
+    order: at each ancestor, innermost first, every node with the
+    ancestor's label path whose mask meets the node's, in id order, as
+    positions in id order, the path's length and the full-canvas IoU."""
+    ids = sorted(tree.nodes)
+    at = {nid: k for k, nid in enumerate(ids)}
+    paths = {nid: _label_path(tree, nid) for nid in ids}
+    out = []
+    for nid in ids:
+        pixels = canvas_pixels(tree.nodes[nid].mask)
+        anc = tree.nodes[nid].parent_id
+        while anc != ROOT_ID:
+            path = paths[anc]
+            for other in ids:
+                if paths[other] == path:
+                    score = _pixel_iou(pixels, canvas_pixels(tree.nodes[other].mask))
+                    if score > 0:
+                        out.append((at[nid], at[other], len(path), score))
+            anc = tree.nodes[anc].parent_id
+    return out
+
+
 def naive_skeleton_parents(tree: OpenTree, tp_ids: set[int]) -> dict[int, int]:
     """Skeleton parents by direct rule application on full arrays."""
     parents: dict[int, int] = {}
     for nid in tp_ids:
-        pixels = tree.nodes[nid].mask.pixels
+        pixels = canvas_pixels(tree.nodes[nid].mask)
         chosen = ROOT_ID
         anc = tree.nodes[nid].parent_id
         while anc != ROOT_ID:
@@ -103,7 +182,7 @@ def naive_skeleton_parents(tree: OpenTree, tp_ids: set[int]) -> dict[int, int]:
             for cand in sorted(tp_ids):
                 if _label_path(tree, cand) != anc_path:
                     continue
-                cand_pixels = tree.nodes[cand].mask.pixels
+                cand_pixels = canvas_pixels(tree.nodes[cand].mask)
                 if not np.any(pixels & cand_pixels):
                     continue
                 score = _pixel_iou(pixels, cand_pixels)
@@ -165,8 +244,8 @@ def naive_assignments(pred: OpenTree, ref: OpenTree
     """Every maximum-total one-to-one set of positive-IoU (pred_id, ref_id)
     pairs, each sorted, found by exhaustive enumeration (keep both trees to
     about 7 nodes); and the quantized IoU of every pred x ref pair."""
-    pixels = {("p", n): node.mask.pixels for n, node in pred.nodes.items()}
-    pixels.update({("r", n): node.mask.pixels for n, node in ref.nodes.items()})
+    pixels = {("p", n): canvas_pixels(node.mask) for n, node in pred.nodes.items()}
+    pixels.update({("r", n): canvas_pixels(node.mask) for n, node in ref.nodes.items()})
     wq = {(p, r): round(_pixel_iou(pixels["p", p], pixels["r", r]) * _SCALE)
           for p in pred.nodes for r in ref.nodes}
     pred_ids, ref_ids = sorted(pred.nodes), sorted(ref.nodes)

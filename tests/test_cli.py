@@ -322,6 +322,27 @@ class TestEvaluate:
         n_docs = len(corpus_path.read_text().splitlines())
         assert len(lines) == 2 * n_docs
 
+    def test_reports_do_not_depend_on_the_hash_seed(self, corpus_path, tmp_path):
+        # Label groups and every other order the report depends on must not
+        # follow set or dict hashing, which PYTHONHASHSEED changes.
+        pred = tmp_path / "pred.jsonl"
+        assert main(["degrade", "--kind", "parent_rewire", "--keep", "0.5",
+                     "--in", str(corpus_path), "--out", str(pred)]) == 0
+        reports = []
+        for seed in ("0", "1"):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"report-{seed}-{jobs}.json"
+                env = {**os.environ, "PYTHONHASHSEED": seed,
+                       "PYTHONPATH": str(Path(otq.__file__).parents[1])}
+                result = subprocess.run(
+                    [sys.executable, "-m", "otq.cli", "evaluate", "--pred", str(pred),
+                     "--ref", str(corpus_path), "--jobs", jobs, "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120)
+                assert result.returncode == 0, result.stderr
+                reports.append(out.read_bytes())
+        assert json.loads(reports[0])["corpus"]["bq"] < 1.0
+        assert reports == reports[:1] * 4
+
     def test_table_format(self, corpus_path, capsys):
         assert main(["evaluate", "--pred", str(corpus_path),
                      "--ref", str(corpus_path), "--format", "table"]) == 0

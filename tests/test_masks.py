@@ -25,10 +25,17 @@ from otq import (
     size_bin,
     union_masks,
 )
-from otq.masks import _most_dilation_steps, overlapping_pairs, rle_decode_all
+from otq.masks import (
+    _most_dilation_steps,
+    _runs,
+    overlapping_pairs,
+    rle_decode_all,
+    rle_decode_table,
+)
 
 from conftest import rect
 from oracles import (
+    canvas_pixels,
     checked_rle_decode,
     dense_bbox,
     dense_containment,
@@ -45,12 +52,12 @@ class TestRle:
     def test_all_zeros(self):
         arr = np.zeros((3, 4), dtype=bool)
         assert rle_encode(Mask(arr)) == "12"
-        assert np.array_equal(rle_decode("12", 4, 3).pixels, arr)
+        assert np.array_equal(canvas_pixels(rle_decode("12", 4, 3)), arr)
 
     def test_all_ones(self):
         arr = np.ones((3, 4), dtype=bool)
         assert rle_encode(Mask(arr)) == "0 12"
-        assert np.array_equal(rle_decode("0 12", 4, 3).pixels, arr)
+        assert np.array_equal(canvas_pixels(rle_decode("0 12", 4, 3)), arr)
 
     def test_column_major_order(self):
         # Only the top-left pixel set: first run of zeros has length 0,
@@ -69,7 +76,7 @@ class TestRle:
             w = int(rng.integers(1, 12))
             arr = rng.random((h, w)) < rng.random()
             out = rle_decode(rle_encode(Mask(arr)), w, h)
-            assert np.array_equal(out.pixels, arr)
+            assert np.array_equal(canvas_pixels(out), arr)
 
     def test_encode_of_decode_is_identity_on_canonical(self):
         rng = np.random.default_rng(43)
@@ -196,7 +203,7 @@ class TestContainment:
             parent = Mask(rng.random((6, 6)) < 0.6)
             if child.area == 0:
                 continue
-            subset = bool(np.all(~child.pixels | parent.pixels))
+            subset = bool(np.all(~canvas_pixels(child) | canvas_pixels(parent)))
             assert (containment(child, parent) == 1.0) == subset
 
 
@@ -222,7 +229,7 @@ class TestMorphology:
             if m.area == 0:
                 continue
             out = erode(m, float(rng.uniform(0.1, 0.9)))
-            assert not np.any(out.pixels & ~m.pixels)
+            assert not np.any(canvas_pixels(out) & ~canvas_pixels(m))
 
     def test_dilate_ratio_one_is_identity(self):
         m = rect(10, 10, 4, 4, 2, 2)
@@ -245,7 +252,7 @@ class TestMorphology:
             if m.area == 0:
                 continue
             out = dilate(m, float(rng.uniform(1.0, 3.0)))
-            assert not np.any(m.pixels & ~out.pixels)
+            assert not np.any(canvas_pixels(m) & ~canvas_pixels(out))
 
 
 # Canvases from 1x1 up, with 1xN and Nx1 drawn on purpose.
@@ -297,12 +304,12 @@ def mask_pixel_sets(draw, n):
 class TestMorphologyMatchesIteratedSteps:
     @given(mask_pixels(), st.floats(0.001, 1.0))
     def test_erode(self, pixels, ratio):
-        out = erode(Mask(pixels), ratio).pixels
+        out = canvas_pixels(erode(Mask(pixels), ratio))
         assert np.array_equal(out, iterated_erode(pixels, ratio))
 
     @given(mask_pixels(), st.floats(1.0, 50.0))
     def test_dilate(self, pixels, ratio):
-        out = dilate(Mask(pixels), ratio).pixels
+        out = canvas_pixels(dilate(Mask(pixels), ratio))
         assert np.array_equal(out, iterated_dilate(pixels, ratio))
 
     @given(mask_pixels(), st.integers(0, 3), st.booleans())
@@ -325,7 +332,7 @@ class TestMorphologyMatchesIteratedSteps:
         else:
             out, expected = erode(Mask(pixels), ratio), iterated_erode(pixels, ratio)
         assert out.area == after
-        assert np.array_equal(out.pixels, expected)
+        assert np.array_equal(canvas_pixels(out), expected)
 
     # Fixed edge cases of the packed steps: each row is packed into whole
     # bytes followed by zero guard bits, a step count is reached by jumps of
@@ -340,7 +347,7 @@ class TestMorphologyMatchesIteratedSteps:
                 out, expected = erode(mask, ratio), iterated_erode(pixels, ratio)
             else:
                 out, expected = dilate(mask, ratio), iterated_dilate(pixels, ratio)
-            assert np.array_equal(out.pixels, expected), ratio
+            assert np.array_equal(canvas_pixels(out), expected), ratio
             assert out.area == int(np.count_nonzero(expected)), ratio
             assert out == Mask(expected), ratio
 
@@ -434,12 +441,12 @@ def many_step_mask(draw):
 class TestManyStepMorphology:
     @given(many_step_mask(), st.floats(0.001, 1.0))
     def test_erode(self, pixels, ratio):
-        out = erode(Mask(pixels), ratio).pixels
+        out = canvas_pixels(erode(Mask(pixels), ratio))
         assert np.array_equal(out, iterated_erode(pixels, ratio))
 
     @given(many_step_mask(), st.floats(1.0, 20.0))
     def test_dilate(self, pixels, ratio):
-        out = dilate(Mask(pixels), ratio).pixels
+        out = canvas_pixels(dilate(Mask(pixels), ratio))
         assert np.array_equal(out, iterated_dilate(pixels, ratio))
 
     @given(st.integers(1, 70), st.integers(1, 70), st.floats(1.0, 6000.0))
@@ -469,7 +476,7 @@ def small_mask_on_large_canvas(draw):
 class TestDilationWindow:
     @given(small_mask_on_large_canvas(), st.floats(1.0, 60.0))
     def test_matches_iterated_steps(self, pixels, ratio):
-        out = dilate(Mask(pixels), ratio).pixels
+        out = canvas_pixels(dilate(Mask(pixels), ratio))
         assert np.array_equal(out, iterated_dilate(pixels, ratio))
 
 
@@ -520,7 +527,7 @@ class TestWindowsMatchDenseArrays:
     def test_window_holds_the_pixels(self, arrays):
         (arr,) = arrays
         m = Mask(arr)
-        assert np.array_equal(m.pixels, arr)
+        assert np.array_equal(canvas_pixels(m), arr)
         assert m.bbox == dense_bbox(arr)
         assert m.area == int(np.count_nonzero(arr))
         assert m.window.flags.c_contiguous and not m.window.flags.writeable
@@ -535,7 +542,7 @@ class TestWindowsMatchDenseArrays:
         rle = dense_rle_encode(arr)
         assert rle_encode(Mask(arr)) == rle
         decoded = rle_decode(rle, width, height)
-        assert np.array_equal(decoded.pixels, dense_rle_decode(rle, width, height))
+        assert np.array_equal(canvas_pixels(decoded), dense_rle_decode(rle, width, height))
         assert decoded == Mask(arr)
         assert decoded.area == int(np.count_nonzero(arr))
         assert decoded.window.flags.c_contiguous and not decoded.window.flags.writeable
@@ -553,10 +560,10 @@ class TestWindowsMatchDenseArrays:
     def test_union_and_difference(self, arrays):
         a, b, c = arrays
         union = union_masks([Mask(a), Mask(b), Mask(c)])
-        assert np.array_equal(union.pixels, a | b | c)
+        assert np.array_equal(canvas_pixels(union), a | b | c)
         assert union == Mask(a | b | c)
         difference = mask_difference(Mask(a), Mask(b))
-        assert np.array_equal(difference.pixels, a & ~b)
+        assert np.array_equal(canvas_pixels(difference), a & ~b)
         assert difference == Mask(a & ~b)
 
 
@@ -565,7 +572,7 @@ class TestFromRect:
         m = Mask.from_rect(4, 3, 1, 2, 5, 5)
         expected = np.zeros((3, 4), dtype=bool)
         expected[1:, 2:] = True
-        assert np.array_equal(m.pixels, expected)
+        assert np.array_equal(canvas_pixels(m), expected)
         assert m.bbox == (1, 3, 2, 4)
 
     def test_past_the_canvas_is_empty(self):
@@ -608,7 +615,8 @@ def test_intersection_area_matches_dense_and():
     for _ in range(50):
         a = Mask(rng.random((9, 7)) < 0.5)
         b = Mask(rng.random((9, 7)) < 0.5)
-        assert intersection_area(a, b) == int(np.count_nonzero(a.pixels & b.pixels))
+        assert intersection_area(a, b) == int(
+            np.count_nonzero(canvas_pixels(a) & canvas_pixels(b)))
 
 
 # Ways to spoil a canonical RLE string.  Some keep it valid for ``int`` but
@@ -682,4 +690,12 @@ class TestDocumentDecode:
 
     def test_empty_document(self):
         assert rle_decode_all([], 4, 3) == []
+
+    def test_runs_are_read_only(self):
+        # The masks of a document share its run table, so writing into one
+        # mask's runs would change the table that scoring joins on.
+        table = rle_decode_table(["1 2 3 4 2", "0 4 8"], 4, 3)
+        masks = [*table.decoded_masks(), *table.reordered([1, 0]).decoded_masks()]
+        for runs in (table.starts, table.stops, *(r for m in masks for r in _runs(m))):
+            assert runs.size and not runs.flags.writeable
 

@@ -29,6 +29,7 @@ from otq import (
 )
 
 from conftest import rect
+from oracles import canvas_pixels
 
 CANVAS = ImageCanvas("scene", 24, 18)
 
@@ -105,7 +106,7 @@ class TestFilterProposal:
 class TestMergeSiblings:
     def test_identical_masks_merge(self):
         m = rect(24, 18, 1, 1, 4, 4)
-        out = merge_siblings([m, Mask(m.pixels.copy())])
+        out = merge_siblings([m, Mask(canvas_pixels(m).copy())])
         assert len(out) == 1
         assert out[0] == m
 
@@ -230,7 +231,7 @@ class TestRunPipeline:
         # Each wheel under its own car.
         for wheel in by_label["wheel"]:
             car_mask = tree.nodes[wheel.parent_id].mask
-            assert np.all(~wheel.mask.pixels | car_mask.pixels)
+            assert np.all(~canvas_pixels(wheel.mask) | canvas_pixels(car_mask))
         assert by_label["ground"][0].parent_id == ROOT_ID
 
     def test_depth_limit_one_keeps_only_root_level(self):

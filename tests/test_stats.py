@@ -4,13 +4,19 @@ import pytest
 
 from otq import (
     CorpusError,
+    DegradeSpec,
     compat_eval,
     corpus_stats,
+    degrade_tree,
+    parse_tree,
     project_flat,
+    serialize_tree,
     synthetic_corpus,
 )
+from otq.stats import _compat_report
 
 from conftest import make_tree, rect
+from oracles import greedy_compat_inputs
 
 
 def three_level_tree(image_id):
@@ -119,8 +125,7 @@ class TestCompatEval:
         # Recall is non-increasing across the whole threshold ladder.
         matched = []
         for cand, ref in zip(worn, trees):
-            matched.extend(_greedy_match([n.mask for n in ref.nodes.values()],
-                                         [n.mask for n in cand.nodes.values()]))
+            matched.extend(_greedy_match(ref, cand))
         recalls = [sum(v >= t for v in matched) / len(matched)
                    for t in _AR_THRESHOLDS]
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
@@ -140,3 +145,21 @@ class TestCompatEval:
                            image_id="x")]
         report = compat_eval(cands, refs)
         assert report.ar50 == 0.5
+
+    def test_run_table_join_equals_per_pair_path(self):
+        # The small benchmark references (160x120, about 86 nodes each),
+        # scored against themselves and against erosion, parsed (decoded run
+        # tables) and in memory (masks holding windows).  The references
+        # are parsed afresh for the oracle, whose windows would otherwise
+        # send compat_eval down the pairwise path.
+        docs = [serialize_tree(t) for t in synthetic_corpus(100, seed=909)]
+        worn = [degrade_tree(parse_tree(d), DegradeSpec("mask_erosion", 0.5)) for d in docs]
+        worn_docs = [serialize_tree(t) for t in worn]
+
+        def parsed(lines):
+            return [parse_tree(d) for d in lines]
+
+        for cands in (lambda: parsed(docs), lambda: parsed(worn_docs), lambda: worn):
+            report = compat_eval(cands(), parsed(docs))
+            assert report == _compat_report(*greedy_compat_inputs(cands(), parsed(docs)))
+        assert 0.0 < report.ar < 1.0

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import stat
+import unicodedata
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from otq import (
     CorpusError,
     DegradeSpec,
     ImageCanvas,
+    InstanceNode,
     OpenTree,
     ROOT_ID,
     SchemaError,
@@ -22,17 +24,21 @@ from otq import (
     ValidationError,
     degrade_tree,
     evaluate_corpus,
+    evaluate_image,
     iter_corpus,
     parse_tree,
     project_flat,
     report_to_json,
+    rle_decode,
     serialize_tree,
     synthetic_tree,
     write_corpus,
 )
+from otq.masks import boxes_meet, pair_ious
 from otq.tree import corpus_index, pair_by_image_id, write_atomically
 
 from conftest import make_tree, rect
+from oracles import naive_climb_pairs
 from oracles import bfs_depths
 
 
@@ -129,6 +135,49 @@ class TestParse:
             parse_tree(doc(nodes(bad_rle=2, no_label=5)))
         with pytest.raises(SchemaError, match="^node 2: label must be a string"):
             parse_tree(doc(nodes(bad_rle=5, no_label=2)))
+
+    @staticmethod
+    def _six_nodes(**changes):
+        """Nodes 1-6 under the root, each a valid 2x2 square, with
+        ``changes[f"n{id}"]`` merged into node ``id`` (or replacing it when
+        not a dict)."""
+        out = [node_json(i, "a", None, rect(8, 8, i % 6, 0, 2, 2)) for i in range(1, 7)]
+        for key, change in changes.items():
+            i = int(key[1:]) - 1
+            out[i] = {**out[i], **change} if isinstance(change, dict) else change
+        return out
+
+    @pytest.mark.parametrize("nodes,error,message", [
+        # Per-node checks run over all nodes before any parent is resolved.
+        (dict(n5={"label": ""}, n3={"parent": 99}), ValidationError,
+         "empty label at node 5"),
+        (dict(n3={"label": ""}, n5={"parent": 99}), ValidationError,
+         "empty label at node 3"),
+        (dict(n4={"rle": "64"}, n2={"parent": 99}), ValidationError,
+         "empty mask at node 4"),
+        (dict(n4={"rle": "64", "label": ""}), ValidationError, "empty label at node 4"),
+        (dict(n4={"rle": "64"}, n2={"id": -1}), ValidationError,
+         "node id -1 is reserved for the artificial root"),
+        (dict(n1={"parent": 2}, n2={"parent": 1}, n4={"id": 2}), ValidationError,
+         "duplicate node id 2"),
+        (dict(n1={"id": 3}, n2={"parent": 3}, n3={"parent": 2}), ValidationError,
+         "duplicate node id 3"),
+        # The walk up from each node in document order meets the cycle.
+        (dict(n1={"parent": 6}, n6={"parent": 1}, n4={"rle": "0 64"}), ValidationError,
+         "cycle at node 1"),
+        (dict(n1={"parent": 4}, n4={"parent": 5}, n5={"parent": 4}), ValidationError,
+         "cycle at node 4"),
+        # An RLE fault before a schema fault wins, as decoding comes first.
+        (dict(n2={"rle": "0 3"}, n5={"parent": "x"}), ValidationError,
+         "node 2: RLE covers 3 pixels, canvas has 64"),
+        (dict(n2={"rle": "0 3"}, n5=7), ValidationError,
+         "node 2: RLE covers 3 pixels, canvas has 64"),
+        (dict(n2={"rle": "0 3"}, n1=7), SchemaError, "nodes[0] must be an object"),
+    ])
+    def test_first_of_two_faults_is_reported(self, nodes, error, message):
+        with pytest.raises(error) as info:
+            parse_tree(doc(self._six_nodes(**nodes)))
+        assert str(info.value) == message
 
     def test_bad_field_types(self):
         with pytest.raises(SchemaError):
@@ -330,6 +379,88 @@ class TestGeneratedDocuments:
     def test_parse_inverts_serialize(self, pair):
         for tree in pair:
             assert parse_tree(serialize_tree(tree)) == tree
+
+
+def _respelled(document: str, data) -> str:
+    """``document`` with its nodes shuffled, some labels respelled (case, or
+    NFD, which normalization folds back) and, when drawn, one RLE string
+    made non-canonical, which sends the whole document through the ``int``
+    reader."""
+    payload = json.loads(document)
+    nodes = payload["nodes"]
+    data.draw(st.randoms(use_true_random=False)).shuffle(nodes)
+    for node in nodes:
+        spelling = data.draw(st.sampled_from(["same", "upper", "nfd"]))
+        if spelling == "upper":
+            node["label"] = node["label"].upper()
+        elif spelling == "nfd":
+            node["label"] = unicodedata.normalize("NFD", node["label"] + "\u00e9")
+            node["label"] = node["label"].title()
+    if nodes and data.draw(st.booleans()):
+        node = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        node["rle"] = "+" + node["rle"].replace(" ", "\t ", 1)
+    return json.dumps(payload)
+
+
+def _in_memory(document: str) -> OpenTree:
+    """The tree of ``document`` built with ``OpenTree(canvas, nodes)`` from
+    its fields as written, each mask decoded on its own."""
+    payload = json.loads(document)
+    w, h = payload["width"], payload["height"]
+    return OpenTree(ImageCanvas(payload["image_id"], w, h), [
+        InstanceNode(n["id"], n["label"], rle_decode(n["rle"], w, h),
+                     ROOT_ID if n["parent"] is None else n["parent"])
+        for n in payload["nodes"]])
+
+
+class TestParsedColumns:
+    """A parsed tree holds columns and a decoded run table; built in memory
+    from the same fields it holds ``InstanceNode``s.  Both must score alike."""
+
+    @settings(max_examples=40)
+    @given(degraded_pairs(), st.data())
+    def test_parsed_and_in_memory_trees_score_alike(self, pair, data):
+        docs = [_respelled(serialize_tree(t), data) for t in pair]
+        parsed = [parse_tree(d) for d in docs]
+        memory = [_in_memory(d) for d in docs]
+        for p, m in zip(parsed, memory):
+            assert p.ids == m.ids and p.labels == m.labels
+            for x, y in zip(p.climb_pairs, m.climb_pairs):
+                assert x.tolist() == y.tolist()
+            i, j = np.nonzero(boxes_meet(p.run_table.boxes[:, None], m.run_table.boxes))
+            assert (pair_ious(p.run_table, i, j).tolist()
+                    == pair_ious(m.run_table, i, j).tolist())
+        strict = SimilarityProtocol.strict()
+        expected = evaluate_image(*memory, strict)
+        assert evaluate_image(*parsed, strict) == expected
+        assert evaluate_image(parsed[0], memory[1], strict) == expected
+        for p, m in zip(parsed, memory):
+            assert p == m
+            assert parse_tree(serialize_tree(p)) == p == parse_tree(serialize_tree(m))
+
+    def test_climb_pairs_of_a_skewed_tree(self):
+        # A chain 40 deep of nested rectangles, and shallow nodes hung near
+        # its top whose label paths repeat the chain's first levels.
+        rng = np.random.default_rng(3)
+        spec = [(k + 1, "a", k or None, rect(64, 64, k // 2, k // 2, 64 - k, 64 - k))
+                for k in range(40)]
+        for k in range(40, 70):
+            row, col = rng.integers(0, 56, size=2).tolist()
+            spec.append((k + 1, ["a", "b"][k % 2], int(rng.integers(0, 4)) or None,
+                         rect(64, 64, row, col, 8, 8)))
+        tree = make_tree(spec, 64, 64)
+        expected = naive_climb_pairs(tree)
+        assert len(expected) > 800
+        for t in (tree, parse_tree(serialize_tree(tree))):
+            assert list(zip(*(column.tolist() for column in t.climb_pairs))) == expected
+
+    def test_scoring_builds_no_node_dict(self, two_branch_tree):
+        pred, ref = (parse_tree(serialize_tree(t)) for t in (project_flat(two_branch_tree),
+                                                             two_branch_tree))
+        report = evaluate_image(pred, ref, SimilarityProtocol.strict())
+        assert report.tp == 4
+        assert "nodes" not in vars(pred) and "nodes" not in vars(ref)
+        assert pred.nodes == project_flat(two_branch_tree).nodes
 
 
 class TestProjectFlat:
