@@ -19,7 +19,8 @@ mask that needs a window (morphology, union, difference,
 of them in one pass.  A mask made from pixels holds its window and derives
 its runs the first time they are needed (encoding, equality, scoring next
 to decoded masks).  Scoring reads many mask pairs of a tree at once
-through a ``RunTable``: ``pair_intersections`` joins their runs in one
+through a ``RunTable``: ``overlapping_ious`` scores the bbox-meeting
+pairs of two tables, and ``pair_intersections`` joins their runs in one
 vectorized pass, the RLE-domain intersection of the COCO mask API's
 ``rleIou``, so scoring decoded masks builds no window; pairs of masks that
 all hold windows are intersected on them.  Erosion and dilation pack
@@ -134,10 +135,6 @@ class Mask:
         if self._area is None:
             self._area = int(np.count_nonzero(self.window))
         return self._area
-
-    @classmethod
-    def from_rle(cls, rle: str, width: int, height: int) -> "Mask":
-        return rle_decode(rle, width, height)
 
     def to_rle(self) -> str:
         return rle_encode(self)
@@ -453,7 +450,7 @@ def _build_windows(starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
     return windows
 
 
-def _require_same_canvas(a: Mask, b: Mask) -> None:
+def _require_same_canvas(a: Mask | RunTable, b: Mask | RunTable) -> None:
     if (a.height, a.width) != (b.height, b.width):
         raise MaskError(
             f"mask dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
@@ -502,15 +499,6 @@ def boxes_meet(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     axis.  ``boxes_meet(ra[:, None], rb)`` is the matrix of all pairs."""
     return ((ra[..., 0] < rb[..., 1]) & (rb[..., 0] < ra[..., 1])
             & (ra[..., 2] < rb[..., 3]) & (rb[..., 2] < ra[..., 3]))
-
-
-def overlapping_pairs(a: Sequence[Mask], b: Sequence[Mask]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), in row-major order, of ``a[i]`` and ``b[j]`` whose
-    bboxes overlap: the only pairs that can share a pixel.  Empty masks never
-    pair.  All masks must share one canvas."""
-    _require_one_canvas([*a, *b])
-    rows, cols = np.nonzero(boxes_meet(_boxes(a)[:, None], _boxes(b)))
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 # Table keys stay below this, so that no int64 sum of two of them overflows.
@@ -720,6 +708,18 @@ def pair_ious(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     if t.size >= 2**53:  # float64 holds every union exactly only below this
         return np.array([x / u for x, u in zip(inter.tolist(), union.tolist())])
     return inter / union
+
+
+def overlapping_ious(a: RunTable, b: RunTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (i, j), in row-major order, of masks ``i`` of ``a`` and
+    ``j`` of ``b`` whose bboxes overlap (the only pairs that can share a
+    pixel), with their IoUs as ``pair_ious`` gives them, all scored in one
+    call on the joined table.  Empty masks never pair.  Two tables that
+    both hold masks must be on one canvas."""
+    if a.areas.size and b.areas.size:
+        _require_same_canvas(a, b)
+    i, j = np.nonzero(boxes_meet(a.boxes[:, None], b.boxes))
+    return i, j, pair_ious(a.joined(b), i, j + a.areas.size)
 
 
 def _intersection(a: Mask, b: Mask) -> int:

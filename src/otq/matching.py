@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ValidationError
 # Nothing here calls iou; the name stays importable at this attribute only
 # so that the benchmark's traced run can wrap it.
-from .masks import boxes_meet, iou, pair_ious  # noqa: F401
+from .masks import iou, overlapping_ious  # noqa: F401
 from .tree import OpenTree
 
 IOU_DECIMALS = 12
@@ -248,7 +248,7 @@ def match_trees(pred: OpenTree, ref: OpenTree, tau_node: float = 0.5) -> MatchRe
     """Match non-root nodes of two trees on a shared canvas.
 
     The IoUs of all node pairs whose bboxes overlap come from one
-    ``masks.pair_ious`` call over both trees' run tables.  Pairs with zero
+    ``masks.overlapping_ious`` call on the two trees' run tables.  Pairs with zero
     IoU are never emitted; the TP threshold is inclusive (IoU >= tau_node).
     """
     if not 0.0 < tau_node <= 1.0:
@@ -258,12 +258,10 @@ def match_trees(pred: OpenTree, ref: OpenTree, tau_node: float = 0.5) -> MatchRe
             f"canvas mismatch: {pred.canvas} vs {ref.canvas}")
 
     pred_ids, ref_ids = pred.ids, ref.ids
-    a, b = pred.run_table, ref.run_table
     weights = np.zeros((len(pred_ids), len(ref_ids)), dtype=np.float64)
     # Pairs with disjoint bboxes keep IoU 0; the rest are scored in one call.
-    rows, cols = np.nonzero(boxes_meet(a.boxes[:, None], b.boxes))
-    table, shift = (a, 0) if ref is pred else (a.joined(b), len(pred_ids))
-    weights[rows, cols] = pair_ious(table, rows, cols + shift)
+    rows, cols, values = overlapping_ious(pred.run_table, ref.run_table)
+    weights[rows, cols] = values
 
     # Quantized as in the assignment: round() and np.round both round half
     # to even.

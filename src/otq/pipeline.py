@@ -34,8 +34,8 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import PipelineError, RleError, SchemaError, ValidationError
-from .masks import (Mask, containment, intersection_area, iou, mask_difference,
-                    overlapping_pairs, union_masks)
+from .masks import (Mask, RunTable, boxes_meet, containment, intersection_area, iou,
+                    mask_difference, pair_intersections, rle_decode, union_masks)
 from .tree import ROOT_ID, ImageCanvas, InstanceNode, OpenTree, _is_int, _payload, located
 
 OTHERS_LABEL = "others"
@@ -154,27 +154,38 @@ def filter_proposal(p: Proposal, parent_mask: Mask | None,
 def merge_siblings(siblings: Sequence[Mask]) -> list[Mask]:
     """Union groups of near-duplicate masks until all pairs overlap <= 90%.
 
-    Overlap is intersection over the smaller area.  The transitive closure
-    is re-run on the merged unions until no pair exceeds the bound, so the
-    output is guaranteed pairwise below it.
+    Overlap is intersection over the smaller area.  The pairs i < j whose
+    bboxes meet are scored in one ``masks.pair_intersections`` call; the
+    close ones link their masks, and each connected group becomes the union
+    of its members, the groups in order of their smallest member.  This is
+    re-run on the unions until no pair exceeds the bound, so the output is
+    guaranteed pairwise below it.
     """
-    # Imported here: at module level it would slow every ``otq`` start.
-    from scipy.sparse.csgraph import connected_components
-
     masks = list(siblings)
     while True:
-        close = np.zeros((len(masks), len(masks)), dtype=bool)
-        for i, j in overlapping_pairs(masks, masks):
-            if i < j:  # empty masks never pair, so the divisor is positive
-                smaller = min(masks[i].area, masks[j].area)
-                close[i, j] = (intersection_area(masks[i], masks[j]) / smaller
-                               > SIBLING_MERGE_OVERLAP)
+        table = RunTable(masks)
+        i, j = np.nonzero(boxes_meet(table.boxes[:, None], table.boxes))
+        upper = i < j  # empty masks never pair, so the divisor is positive
+        i, j = i[upper], j[upper]
+        smaller = np.minimum(table.areas[i], table.areas[j])
+        close = pair_intersections(table, i, j) / smaller > SIBLING_MERGE_OVERLAP
         if not close.any():
             return masks
-        # Components are numbered by their smallest member, keeping order.
-        n_groups, group_of = connected_components(close, directed=False)
-        masks = [union_masks([m for m, g in zip(masks, group_of) if g == k])
-                 for k in range(n_groups)]
+        i, j = i[close], j[close]
+        # Each mask's lead falls to the smallest member of its group: a
+        # pair takes the smaller of its two leads, then each lead takes its
+        # own lead's, until every linked pair agrees.
+        lead = np.arange(len(masks))
+        while True:
+            low = np.minimum(lead[i], lead[j])
+            np.minimum.at(lead, i, low)
+            np.minimum.at(lead, j, low)
+            lead = lead[lead]
+            if np.array_equal(lead[i], lead[j]):
+                break
+        leads = lead.tolist()
+        masks = [union_masks([m for m, k in zip(masks, leads) if k == first])
+                 for first in sorted(set(leads))]
 
 
 @contextmanager
@@ -361,7 +372,7 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
                 raise SchemaError(
                     f"{where}: needs a string 'rle' and a numeric 'confidence'")
             try:
-                mask = Mask.from_rle(entry["rle"], canvas.width, canvas.height)
+                mask = rle_decode(entry["rle"], canvas.width, canvas.height)
             except RleError as exc:
                 raise ValidationError(f"{where}: {exc}") from exc
             if mask.area == 0:

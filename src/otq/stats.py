@@ -11,7 +11,8 @@ over matched references and average recall over the IoU thresholds
 0.50:0.05:0.95 (plus AR@50/AR@75 and per-size-bin AR) are reported.
 Each side's trees are keyed by image id and the two sides paired by
 ``tree.pair_by_image_id``; each image's bbox-overlapping mask pairs are
-scored in one ``masks.pair_ious`` call on the two trees' run tables.
+scored in one ``masks.overlapping_ious`` call on the two trees' run tables,
+which refuses two trees on different canvases with a ``MaskError``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import MaskError
-from .masks import SizeBin, area_bin, boxes_meet, pair_ious
+from .masks import SizeBin, area_bin, overlapping_ious
 from .tree import OpenTree, claim_image_id, pair_by_image_id
 
 DEPTH_ROWS = ("1", "2", "3", "4+")
@@ -121,16 +121,11 @@ def _greedy_match(ref: OpenTree, cand: OpenTree) -> list[float]:
     """Best-IoU one-to-one consumption of ``cand``'s masks by ``ref``'s, in
     order of falling IoU, then reference and candidate position; returns
     the matched IoU per reference node in id order (0.0 for unmatched)."""
-    a, b = ref.run_table, cand.run_table
-    if (a.height, a.width) != (b.height, b.width) and a.areas.size and b.areas.size:
-        raise MaskError(f"mask dimension mismatch: {ref.canvas.width}x{ref.canvas.height} "
-                        f"vs {cand.canvas.width}x{cand.canvas.height}")
-    rows, cols = np.nonzero(boxes_meet(a.boxes[:, None], b.boxes))
-    values = pair_ious(a.joined(b), rows, cols + a.areas.size)
+    rows, cols, values = overlapping_ious(ref.run_table, cand.run_table)
     hit = np.flatnonzero(values > 0.0)
     rows, cols, values = rows[hit], cols[hit], values[hit]
     ranked = np.lexsort((cols, rows, -values))
-    matched = [0.0] * a.areas.size
+    matched = [0.0] * ref.n_nodes
     used_ref: set[int] = set()
     used_cand: set[int] = set()
     for value, ri, ci in zip(values[ranked].tolist(), rows[ranked].tolist(),

@@ -6,7 +6,8 @@ intersection, skeletons by a direct reading of the climbing rule on full
 mask arrays, climb pairs by a walk up from each node, a whole per-image report
 by a direct reading of the metric, the RLE codec and mask overlaps on
 full-canvas arrays (``canvas_pixels``), morphology by one 3x3 step at a time, corpus
-aggregation by one hand-written sum per field and mode.  Nothing imports
+aggregation by one hand-written sum per field and mode, sibling merging by
+scipy's connected components.  Nothing imports
 the modules under test beyond data types.
 """
 
@@ -414,6 +415,49 @@ def dense_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 def dense_containment(child: np.ndarray, parent: np.ndarray) -> float:
     return dense_intersection_area(child, parent) / int(np.count_nonzero(child))
+
+
+SIBLING_MERGE_OVERLAP = 0.90
+
+
+def overlapping_pairs(a: list[Mask], b: list[Mask]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), in row-major order, of nonempty masks whose tight
+    bboxes overlap."""
+    boxes_a = [dense_bbox(canvas_pixels(m)) for m in a]
+    boxes_b = [dense_bbox(canvas_pixels(m)) for m in b]
+    return [(i, j) for i, x in enumerate(boxes_a) for j, y in enumerate(boxes_b)
+            if x is not None and y is not None and x[0] < y[1] and y[0] < x[1]
+            and x[2] < y[3] and y[2] < x[3]]
+
+
+def intersection_area(a: Mask, b: Mask) -> int:
+    return dense_intersection_area(canvas_pixels(a), canvas_pixels(b))
+
+
+def union_masks(masks: list[Mask]) -> Mask:
+    return Mask(np.logical_or.reduce([canvas_pixels(m) for m in masks]))
+
+
+def merge_siblings(siblings: list[Mask]) -> list[Mask]:
+    """``pipeline.merge_siblings`` as it was when it grouped close pairs
+    with scipy's ``connected_components`` on a dense n x n matrix, over the
+    full-canvas helpers above."""
+    from scipy.sparse.csgraph import connected_components
+
+    masks = list(siblings)
+    while True:
+        close = np.zeros((len(masks), len(masks)), dtype=bool)
+        for i, j in overlapping_pairs(masks, masks):
+            if i < j:  # empty masks never pair, so the divisor is positive
+                smaller = min(masks[i].area, masks[j].area)
+                close[i, j] = (intersection_area(masks[i], masks[j]) / smaller
+                               > SIBLING_MERGE_OVERLAP)
+        if not close.any():
+            return masks
+        # Components are numbered by their smallest member, keeping order.
+        n_groups, group_of = connected_components(close, directed=False)
+        masks = [union_masks([m for m, g in zip(masks, group_of) if g == k])
+                 for k in range(n_groups)]
 
 
 def aggregate_reports(records: list[OtqReport],

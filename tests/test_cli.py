@@ -133,6 +133,23 @@ class TestLazyImports:
         """)
         assert result.returncode == 0, result.stderr
 
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path):
+        scene = Path(otq.__file__).parents[2] / "demos" / "fixtures" / "scene.json"
+        blocked, unblocked = tmp_path / "blocked.jsonl", tmp_path / "unblocked.jsonl"
+        result = _run_python(f"""
+            import sys
+            sys.modules["scipy"] = None  # any import of scipy now fails
+            from otq import Mask, merge_siblings
+            from otq.cli import main
+            assert main(["pipeline", "--script", {str(scene)!r},
+                         "--out", {str(blocked)!r}]) == 0
+            a, b = Mask.from_rect(8, 8, 0, 0, 4, 4), Mask.from_rect(8, 8, 0, 0, 4, 5)
+            assert merge_siblings([a, b]) == [b]
+        """)
+        assert result.returncode == 0, result.stderr
+        assert main(["pipeline", "--script", str(scene), "--out", str(unblocked)]) == 0
+        assert blocked.read_bytes() == unblocked.read_bytes()
+
     def test_exported_names_resolve_to_their_home_modules(self):
         assert sorted(otq.__all__) == sorted(n for names in EXPORTS.values() for n in names)
         for module, names in EXPORTS.items():

@@ -26,9 +26,10 @@ from otq import (
     union_masks,
 )
 from otq.masks import (
+    RunTable,
     _most_dilation_steps,
     _runs,
-    overlapping_pairs,
+    overlapping_ious,
     rle_decode_all,
     rle_decode_table,
 )
@@ -153,7 +154,7 @@ PAIR_FUNCTIONS = {
     "containment": containment,
     "mask_difference": mask_difference,
     "union_masks": lambda a, b: union_masks([a, b]),
-    "overlapping_pairs": lambda a, b: overlapping_pairs([a], [b]),
+    "overlapping_ious": lambda a, b: overlapping_ious(RunTable([a]), RunTable([b])),
 }
 
 
@@ -480,6 +481,12 @@ class TestDilationWindow:
         assert np.array_equal(out, iterated_dilate(pixels, ratio))
 
 
+def overlapping_pairs(a, b):
+    """The (i, j) pairs that ``overlapping_ious`` scores for two mask lists."""
+    i, j, _ = overlapping_ious(RunTable(a), RunTable(b))
+    return list(zip(i.tolist(), j.tolist()))
+
+
 class TestOverlappingPairs:
     @given(canvases, st.data())
     def test_matches_dense_all_pairs(self, canvas, data):
@@ -492,9 +499,12 @@ class TestOverlappingPairs:
             return (bx is not None and by is not None and bx[0] < by[1] and by[0] < bx[1]
                     and bx[2] < by[3] and by[2] < bx[3])
 
-        pairs = overlapping_pairs([Mask(x) for x in a], [Mask(y) for y in b])
+        i, j, ious = overlapping_ious(RunTable([Mask(x) for x in a]),
+                                      RunTable([Mask(y) for y in b]))
+        pairs = list(zip(i.tolist(), j.tolist()))
         assert pairs == [(i, j) for i, x in enumerate(a) for j, y in enumerate(b)
                          if boxes_meet(x, y)]
+        assert ious.tolist() == [dense_iou(a[i], b[j]) for i, j in pairs]
         # Every pair sharing a pixel is among them.
         assert {(i, j) for i, x in enumerate(a) for j, y in enumerate(b)
                 if dense_intersection_area(x, y)} <= set(pairs)

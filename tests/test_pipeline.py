@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from otq import (
     ImageCanvas,
@@ -24,12 +27,14 @@ from otq import (
     load_scene_script,
     materialize_instances,
     merge_siblings,
+    rle_decode,
     run_pipeline,
     serialize_tree,
 )
 
 from conftest import rect
 from oracles import canvas_pixels
+from oracles import merge_siblings as scipy_merge_siblings
 
 CANVAS = ImageCanvas("scene", 24, 18)
 
@@ -143,6 +148,47 @@ class TestMergeSiblings:
                     inter = intersection_area(out[i], out[j])
                     smaller = min(out[i].area, out[j].area)
                     assert inter / smaller <= 0.9 + 1e-12
+
+
+@st.composite
+def sibling_sets(draw):
+    """Up to 8 masks on a 1x1 to 14x14 canvas: rectangles, random pixels,
+    one- or two-pixel edits and one-column shifts of an earlier mask (so
+    that groups merge, some pairs at exactly 90% overlap) and empty masks,
+    some decoded from RLE so that they hold no window."""
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    masks = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["rect", "pixels", "edit", "shift", "empty"]))
+        pixels = np.zeros((height, width), dtype=bool)
+        if kind == "rect":
+            # Often ten columns wide: moved by one column (``shift``), such
+            # a rectangle keeps exactly 90% of its pixels.
+            n_cols = draw(st.just(min(10, width)) | st.integers(1, width))
+            r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - n_cols))
+            pixels[r0:draw(st.integers(r0 + 1, height)), c0:c0 + n_cols] = True
+        elif kind == "pixels":
+            pixels = draw(hnp.arrays(bool, (height, width)))
+        elif kind == "edit" and masks:
+            pixels = canvas_pixels(draw(st.sampled_from(masks))).copy()
+            for _ in range(draw(st.integers(1, 2))):
+                row, col = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+                pixels[row, col] = not pixels[row, col]
+        elif kind == "shift" and masks:
+            pixels[:, 1:] = canvas_pixels(draw(st.sampled_from(masks)))[:, :-1]
+        mask = Mask(pixels)
+        if draw(st.booleans()):
+            mask = rle_decode(mask.to_rle(), width, height)
+        masks.append(mask)
+    return masks
+
+
+class TestMergeSiblingsOracle:
+    @settings(max_examples=400)
+    @given(sibling_sets())
+    def test_matches_connected_components(self, masks):
+        expected = [m.to_rle() for m in scipy_merge_siblings(masks)]
+        assert [m.to_rle() for m in merge_siblings(masks)] == expected
 
 
 class TestMaterialize:
