@@ -1,9 +1,12 @@
 """Reproduce the controlled-degradation audit on a synthetic corpus.
 
-Each corruption kind should light up exactly the metric terms it targets:
-mask erosion/dilation depress MQ and meanNQ, parent rewiring and node
-removal depress only TQ while meanNQ, MQ, and LQ stay at 1.  The grid is
-also written as CSV next to this script.
+Parent rewiring and node removal depress only TQ while meanNQ, MQ and LQ
+stay at 1.  Mask erosion depresses MQ and meanNQ, and TQ as matches are
+lost.  Mask dilation does the same down to keep 0.5, but past that the
+terms stop being separable: a swollen mask is matched to an ancestor's
+reference node, so LQ falls to near 0 although no label changed, while MQ
+and the TP count rise again as keep falls.  The grid is also written as CSV
+next to this script.
 """
 
 from pathlib import Path
@@ -25,8 +28,13 @@ print(f"wrote {out}")
 
 print("""
 things to notice:
-  * mask_erosion / mask_dilation: MQ and meanNQ fall with the keep ratio,
-    LQ stays near 1 as long as matches survive at all.
+  * mask_erosion: MQ and meanNQ fall with the keep ratio, and so does TQ
+    as matches are lost (none survive at 0.30); LQ stays 1.000 while any
+    match survives.
+  * mask_dilation: down to keep 0.50 it moves the same terms.  Past that a
+    swollen mask is matched to an ancestor's reference node: the 35 TPs at
+    0.30 give LQ 0.000 and the 100 TPs at 0.15 give LQ 0.020, while MQ
+    rises from 0.509 to 0.580 to 0.783 as keep falls.
   * parent_rewire: meanNQ = MQ = LQ = 1.000 exactly; only TQ falls.
   * the *_node_missing rows keep meanNQ at 1 and pay only the PQ-style
     recovery penalty inside TQ.

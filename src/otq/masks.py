@@ -13,22 +13,22 @@ canonical text (ASCII digits separated by single spaces) it reads and
 checks their runs in one vectorized pass, and every other document is read
 one string at a time with ``int``, accepting whatever ``int`` accepts.
 ``RunTable.decoded_masks`` (and ``rle_decode_all``) makes the masks, each
-holding its bbox and area and reading its runs from the table; the first
-mask that needs a window (morphology, union, difference,
-``intersection_area``, ``iou``, ``containment``) builds the windows of all
-of them in one pass.  A mask made from pixels holds its window and derives
-its runs the first time they are needed (encoding, equality, scoring next
-to decoded masks).  Scoring reads many mask pairs of a tree at once
-through a ``RunTable``: ``overlapping_ious`` scores the bbox-meeting
-pairs of two tables, and ``pair_intersections`` joins their runs in one
-vectorized pass, the RLE-domain intersection of the COCO mask API's
-``rleIou``, so scoring decoded masks builds no window; pairs of masks that
-all hold windows are intersected on them.  Erosion and dilation pack
-a region's rows into one Python int and keep the 3x3 step count whose area
-is closest to a target; k steps are an erosion or dilation by a
-(2k + 1)-square, the pixels within chessboard distance k (Rosenfeld and
-Pfaltz, 1966, 1968), and the count is found by bisection, each jump an AND
-or OR of the int shifted by bits and by rows.
+holding its bbox, area and runs; a decoded mask that needs a window
+(morphology, union, difference, ``intersection_area``, ``iou``,
+``containment``) fills its own from its runs the first time.  A mask made
+from pixels holds its window and derives its runs the first time they are
+needed (encoding, equality, scoring next to decoded masks).  Scoring reads
+many mask pairs of a tree at once through a ``RunTable``:
+``overlapping_ious`` scores the bbox-meeting pairs of two tables, and
+``pair_intersections`` joins their runs in one vectorized pass, the
+RLE-domain intersection of the COCO mask API's ``rleIou``, so scoring
+decoded masks builds no window; pairs of masks that all hold windows are
+intersected on them.  Erosion and dilation pack a region's rows into one
+Python int and keep the 3x3 step count whose area is closest to a target;
+k steps are an erosion or dilation by a (2k + 1)-square, the pixels within
+chessboard distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is
+found by bisection, each jump an AND or OR of the int shifted by bits and
+by rows.
 """
 
 from __future__ import annotations
@@ -72,16 +72,15 @@ class Mask:
     column-major canvas offsets of its foreground runs, as two int64 arrays.
     Its ``window`` holds the pixels inside ``bbox`` as a C-contiguous
     read-only array (shape (0, 0) when empty), also after a pickle round
-    trip.  A decoded mask holds its bbox and area and points into the
-    ``RunTable`` it was decoded into, which gives its runs on request and
-    builds the windows of all its masks at once, the first time any of them
-    needs one.  A mask made from pixels (``Mask(pixels)``, ``from_rect``,
-    morphology, union, difference) holds its window and derives its runs
-    the first time they are needed.  A mask without a window is pickled as
-    its runs.  Do not mutate a mask after construction.
+    trip.  A decoded mask holds its bbox, area and runs, and fills its
+    window from its runs the first time it needs one.  A mask made from
+    pixels (``Mask(pixels)``, ``from_rect``, morphology, union, difference)
+    holds its window and derives its runs the first time they are needed.
+    A mask without a window is pickled as its runs.  Do not mutate a mask
+    after construction.
     """
 
-    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs", "_source")
+    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs")
 
     def __init__(self, pixels: np.ndarray) -> None:
         """Mask of a full-canvas (height, width) boolean array."""
@@ -91,20 +90,19 @@ class Mask:
         self.height, self.width = arr.shape
         self.bbox, self._window = _tight(arr, 0, 0)
         self._window.setflags(write=False)
-        self._area = self._runs = self._source = None
+        self._area = self._runs = None
 
     @classmethod
     def _of(cls, height: int, width: int, bbox: Box | None,
             window: np.ndarray | None, area: int | None = None,
-            runs: Runs | None = None, source: tuple[RunTable, int] | None = None
-            ) -> "Mask":
-        """Mask of a window already cropped to the tight ``bbox``, or mask
-        ``index`` of a decoded run table, ``source = (table, index)``."""
+            runs: Runs | None = None) -> "Mask":
+        """Mask of a window already cropped to the tight ``bbox``, or of the
+        runs of a decoded mask."""
         mask = cls.__new__(cls)
         if window is not None:
             window.setflags(write=False)
         mask.height, mask.width, mask.bbox, mask._window = height, width, bbox, window
-        mask._area, mask._runs, mask._source = area, runs, source
+        mask._area, mask._runs = area, runs
         return mask
 
     def __reduce__(self):
@@ -121,13 +119,11 @@ class Mask:
 
     @property
     def window(self) -> np.ndarray:
-        """The pixels inside ``bbox``; a decoded mask's run table builds them
+        """The pixels inside ``bbox``; a decoded mask fills them from its runs
         on first use."""
         if self._window is None:
-            # The window replaces the runs, which are derived again if needed,
-            # so that masks held in memory keep one form of their pixels.
-            table, index = self._source
-            self._window, self._source, self._runs = table.window(index), None, None
+            self._window = _runs_window(self)
+            self._window.setflags(write=False)
         return self._window
 
     @property
@@ -187,14 +183,10 @@ def _tight(arr: np.ndarray, row0: int, col0: int) -> tuple[Box | None, np.ndarra
 def _runs(m: Mask) -> Runs:
     """The (starts, stops) of ``m``'s foreground runs: maximal, so a run that
     ends at the canvas's bottom row and resumes at the top of the next column
-    is one run.  A decoded mask reads them from its table; a mask made from
-    pixels derives them from its window once."""
+    is one run.  A decoded mask holds them; a mask made from pixels derives
+    them from its window once."""
     if m._runs is None:
-        if m._source is not None:
-            table, index = m._source
-            m._runs = table.runs(index)
-        else:
-            m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
+        m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
     return m._runs
 
 
@@ -213,6 +205,23 @@ def _window_runs(m: Mask) -> Runs:
         apart = starts[1:] != stops[:-1]
         starts, stops = starts[np.append(True, apart)], stops[np.append(apart, True)]
     return starts, stops
+
+
+def _runs_window(m: Mask) -> np.ndarray:
+    """The window of a decoded mask, filled from its runs by a +1/-1
+    difference array over its bbox in column-major order and a cumulative
+    sum.  A run crosses a column only when the bbox spans the canvas height,
+    so a run's bbox offsets are its canvas offsets less one shift taken at
+    its start."""
+    starts, stops = m._runs
+    r0, r1, c0, c1 = m.bbox
+    h = r1 - r0
+    shift = starts // m.height * (m.height - h) + (c0 * h + r0)
+    cells = np.zeros((c1 - c0) * h + 1, dtype=np.int8)
+    cells[starts - shift] = 1
+    cells[stops - shift] -= 1
+    np.add.accumulate(cells, out=cells)
+    return cells[:-1].view(bool).reshape(c1 - c0, h).T.copy()
 
 
 def rle_encode(mask: Mask) -> str:
@@ -318,9 +327,6 @@ def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
 
 # Bytes a canonical RLE document consists of.
 _CANONICAL_BYTES = b"0123456789 "
-# Window cells ``_build_windows`` fills per batch: the one buffer its batches
-# share holds at most this many plus one window.
-_PIXEL_BUDGET = 2**18
 
 
 def _parse_runs(rle: str, width: int, height: int) -> list[int]:
@@ -385,69 +391,6 @@ def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
         boxes[runs_of, 3] = last_col[last] + 1 - shift
         areas[runs_of] = np.add.reduceat(stops - starts, first)
     return RunTable._columns(height, width, boxes, areas, starts, stops, counts)
-
-
-def _build_windows(starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
-                   height: int) -> list[np.ndarray]:
-    """Read-only windows of the masks whose runs, ``counts[i]`` of them for
-    mask i, are concatenated in ``starts`` and ``stops``.
-
-    Runs are split at column boundaries into segments; each mask's tight
-    bbox is reduced over its segments, and its window is filled by a +1/-1
-    difference array and a cumulative sum, a budget of pixels at a time.
-    """
-    windows = [_NO_PIXELS] * counts.size
-    if starts.size == 0:
-        return windows
-    owner = np.repeat(np.arange(counts.size), counts)
-    col0 = starts // height
-    run, k = _spread((stops - 1) // height + 1 - col0)
-    col = col0[run] + k
-    top = np.maximum(starts[run] - col * height, 0)
-    bottom = np.minimum(stops[run] - col * height, height)
-    owner = owner[run]
-    del col0, run, k
-    # Segments come grouped by mask, and ordered by column within a mask.
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
-    r0 = np.minimum.reduceat(top, first)
-    r1 = np.maximum.reduceat(bottom, first)
-    c0 = col[first]
-    c1 = col[np.append(first[1:], col.size) - 1] + 1
-    # Window j is laid out column by column in ``slots[j]`` cells, one
-    # past each column's last row, so that a column's +1s and -1s cancel
-    # and one cumulative sum fills many windows.
-    rows = r1 - r0
-    slots = (rows + 1) * (c1 - c0)
-    offset = np.cumsum(slots) - slots
-    win = np.repeat(np.arange(first.size), np.diff(first, append=col.size))
-    base = offset[win] + (col - c0[win]) * (rows[win] + 1) - r0[win]
-    del col, win
-    lo, hi = top + base, bottom + base
-    del top, bottom, base
-    edge = [*first.tolist(), lo.size]
-    # Windows that start within one budget of each other are built together,
-    # all in one buffer, so that no freed buffer leaves a hole among them.
-    j0 = np.flatnonzero(np.diff(offset // _PIXEL_BUDGET, prepend=-1))
-    j1 = np.append(j0[1:], first.size)
-    batches = list(zip(j0.tolist(), j1.tolist(), offset[j0].tolist(),
-                       (offset + slots)[j1 - 1].tolist()))
-    scratch = np.empty(max(end - at for _, _, at, end in batches), dtype=np.int8)
-    info = list(zip(owner[first].tolist(), r0.tolist(), r1.tolist(), c0.tolist(),
-                    c1.tolist(), offset.tolist()))
-    for j0, j1, at, end in batches:
-        buf = scratch[:end - at]
-        buf[:] = 0
-        buf[lo[edge[j0]:edge[j1]] - at] = 1
-        buf[hi[edge[j0]:edge[j1]] - at] = -1
-        np.add.accumulate(buf, out=buf)
-        pixels = buf.view(bool)
-        for i, a, b, c, d, off in info[j0:j1]:
-            h = b - a
-            column_major = pixels[off - at:off - at + (h + 1) * (d - c)].reshape(d - c, h + 1)
-            window = np.array(column_major[:, :h].T, order="C")
-            window.setflags(write=False)
-            windows[i] = window
-    return windows
 
 
 def _require_same_canvas(a: Mask | RunTable, b: Mask | RunTable) -> None:
@@ -520,13 +463,12 @@ class RunTable:
 
     A table made from a list of masks (``RunTable(masks)``) keeps them as
     ``masks`` and lays its runs out on first use.  A decoded table
-    (``rle_decode_table``) has its runs from the start, ``masks`` None, and
-    ``windows`` None until one of its masks needs a window, when all of
-    them are built; ``decoded_masks`` makes its masks.
+    (``rle_decode_table``) has its runs from the start and ``masks`` None
+    until ``decoded_masks`` makes them, each holding its own runs.
     """
 
     __slots__ = ("masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
-                 "lead", "before", "counts", "first", "windows", "_parts", "_canvas_runs")
+                 "lead", "before", "counts", "first", "_parts")
 
     def __init__(self, masks: Sequence[Mask]) -> None:
         _require_one_canvas(masks)
@@ -535,7 +477,7 @@ class RunTable:
         self.size = self.height * self.width
         self.boxes = _boxes(masks)
         self.areas = np.array([m.area for m in masks], dtype=np.int64)
-        self.starts = self.before = self.windows = self._parts = None
+        self.starts = self.before = self._parts = None
 
     @classmethod
     def _columns(cls, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
@@ -547,7 +489,7 @@ class RunTable:
         stops.setflags(write=False)
         t.boxes, t.areas, t.starts, t.stops, t.counts = boxes, areas, starts, stops, counts
         t.first = np.cumsum(counts) - counts
-        t.before = t.windows = t._parts = t._canvas_runs = None
+        t.before = t._parts = None
         return t
 
     def joined(self, other: "RunTable") -> "RunTable":
@@ -559,7 +501,7 @@ class RunTable:
         out.height, out.width, out.size = canvas.height, canvas.width, canvas.size
         out.boxes = np.concatenate((self.boxes, other.boxes))
         out.areas = np.concatenate((self.areas, other.areas))
-        out.starts = out.before = out.windows = None
+        out.starts = out.before = None
         out._parts = (self, other)
         return out
 
@@ -575,34 +517,23 @@ class RunTable:
                                  self.starts[run] + shift, self.stops[run] + shift, counts)
 
     def decoded_masks(self) -> list[Mask]:
-        """The masks of a decoded table, each holding its bbox and area and
-        pointing back into the table for its runs and window."""
-        h, w = self.height, self.width
-        # Masks are immutable, so the empty ones can be one object.
-        empty = Mask._of(h, w, None, _NO_PIXELS, 0, _NO_RUNS)
-        return [Mask._of(h, w, box, None, area, None, (self, m)) if area else empty
-                for m, (box, area) in enumerate(zip(zip(*self.boxes.T.tolist()),
-                                                    self.areas.tolist()))]
-
-    def runs(self, index: int) -> Runs:
-        """The canvas runs of mask ``index`` of a decoded table, as views
-        into the table's runs less their shifts, computed for all masks on
-        the first call."""
-        if self._canvas_runs is None:
+        """The masks of a decoded table, made on the first call and kept as
+        ``masks``: each holds its bbox, area and runs, views into one array
+        of the table's runs less their shifts."""
+        if self.masks is None:
+            h, w = self.height, self.width
             shift = np.repeat(np.arange(self.counts.size) * self.size, self.counts)
-            self._canvas_runs = self.starts - shift, self.stops - shift
-            for runs in self._canvas_runs:
-                runs.setflags(write=False)
-        a = int(self.first[index])
-        b = a + int(self.counts[index])
-        return self._canvas_runs[0][a:b], self._canvas_runs[1][a:b]
-
-    def window(self, index: int) -> np.ndarray:
-        """The window of mask ``index`` of a decoded table; the first call
-        builds them all."""
-        if self.windows is None:
-            self.windows = _build_windows(self.starts, self.stops, self.counts, self.height)
-        return self.windows[index]
+            starts, stops = self.starts - shift, self.stops - shift
+            starts.setflags(write=False)
+            stops.setflags(write=False)
+            # Masks are immutable, so the empty ones can be one object.
+            empty = Mask._of(h, w, None, _NO_PIXELS, 0, _NO_RUNS)
+            self.masks = [
+                Mask._of(h, w, box, None, area, (starts[a:b], stops[a:b])) if area else empty
+                for box, area, a, b in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
+                                           self.first.tolist(),
+                                           (self.first + self.counts).tolist())]
+        return self.masks
 
     def _laid_out(self) -> bool:
         """Lay the run table out, unless done; False if its keys would reach
@@ -640,17 +571,14 @@ class RunTable:
 
 def _all_windows(t: RunTable, build: bool) -> list[np.ndarray] | None:
     """The windows of ``t``'s masks in order, if each holds one or
-    ``build`` is set (which builds them); None otherwise.  A decoded table's
-    masks hold windows once it has built them."""
+    ``build`` is set (which builds them, and a decoded table's masks); None
+    otherwise."""
     if t._parts is not None:
         a, b = (_all_windows(part, build) for part in t._parts)
         return None if a is None or b is None else a + b
-    if t.masks is None:
-        if build or t.windows is not None:
-            return [t.window(m) for m in range(t.areas.size)]
-        return None
-    if build or all(m._window is not None for m in t.masks):
-        return [m.window for m in t.masks]
+    masks = t.decoded_masks() if build else t.masks
+    if masks is not None and (build or all(m._window is not None for m in masks)):
+        return [m.window for m in masks]
     return None
 
 
@@ -908,7 +836,7 @@ def dilate(m: Mask, target_grow_to_ratio: float) -> Mask:
     clipped to the canvas, never on the whole canvas unless that box covers
     it.
     """
-    if target_grow_to_ratio < 1.0:
+    if not target_grow_to_ratio >= 1.0:
         raise MaskError(
             f"grow ratio must be >= 1, got {target_grow_to_ratio}")
     if m.area == 0:

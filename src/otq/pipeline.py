@@ -25,6 +25,7 @@ description ship with the package (real models are out of scope here).
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -332,8 +333,8 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
          "limits": {"max_depth": int, "max_children": int}}   # optional
 
     where ``<path>`` is the '/'-joined label chain from the root ("" for the
-    root itself).  Sides are at least 1, limits at least 0, and every mask
-    is non-empty.
+    root itself).  Sides are at least 1, limits at least 0, every mask is
+    non-empty, and every confidence is a finite number.
     """
     with located(str(path)):
         payload = _payload(Path(path).read_bytes())
@@ -371,6 +372,9 @@ def load_scene_script(path: str | Path) -> tuple[ImageCanvas, ScriptedProposer,
                     and not isinstance(entry["confidence"], bool)):
                 raise SchemaError(
                     f"{where}: needs a string 'rle' and a numeric 'confidence'")
+            # False for NaN, the infinities and ints past the float range.
+            if not abs(entry["confidence"]) <= sys.float_info.max:
+                raise SchemaError(f"{where}: 'confidence' must be finite")
             try:
                 mask = rle_decode(entry["rle"], canvas.width, canvas.height)
             except RleError as exc:

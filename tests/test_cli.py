@@ -592,7 +592,13 @@ class TestPipelineCommand:
         ({"rle": "5 6 5", "confidence": True},
          "needs a string 'rle' and a numeric 'confidence'"),
         ({"rle": "16", "confidence": 0.9}, "empty mask"),
-    ], ids=["no-confidence", "no-rle", "bad-rle", "bool-confidence", "empty-mask"])
+        ({"rle": "5 6 5", "confidence": float("nan")}, "'confidence' must be finite"),
+        ({"rle": "5 6 5", "confidence": float("inf")}, "'confidence' must be finite"),
+        ({"rle": "5 6 5", "confidence": -float("inf")}, "'confidence' must be finite"),
+        ({"rle": "5 6 5", "confidence": 10**400}, "'confidence' must be finite"),
+    ], ids=["no-confidence", "no-rle", "bad-rle", "bool-confidence", "empty-mask",
+            "nan-confidence", "infinite-confidence", "negative-infinite-confidence",
+            "huge-confidence"])
     def test_bad_mask_entry_names_script_label_and_index(self, tmp_path, capsys,
                                                          entry, problem):
         script = {

@@ -89,8 +89,8 @@ def test_climb_pairs_of_a_skewed_tree_peak_near_its_pairs():
 
 
 def test_lazy_windows_of_a_document_add_little_to_them():
-    # The same 60 nested rectangles: parsing builds no window, and the first
-    # window asked for builds all 60 in one pass, a budget at a time.
+    # The same 60 nested rectangles: parsing builds no window, and the window
+    # asked for is the only one built.
     width, height = 1024, 768
     nodes = [InstanceNode(i + 1, "thing",
                           Mask.from_rect(width, height, i, i, height - 2 * i, width - 2 * i),
@@ -162,6 +162,6 @@ def test_scoring_path_never_reads_pixels(request, monkeypatch, pred_fixture, ref
     pred = request.getfixturevalue(pred_fixture)
     ref = request.getfixturevalue(ref_fixture)
     expected = evaluate_image(pred, ref, SimilarityProtocol.strict())
-    monkeypatch.setattr(otq.masks, "_build_windows", _no_window)
+    monkeypatch.setattr(otq.masks, "_runs_window", _no_window)
     pred, ref = parse_tree(serialize_tree(pred)), parse_tree(serialize_tree(ref))
     assert evaluate_image(pred, ref, SimilarityProtocol.strict()) == expected

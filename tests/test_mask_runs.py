@@ -1,6 +1,5 @@
 """Masks kept as runs: the one-join intersection of many mask pairs, and
-the windows that decoded masks build only when needed, one document at a
-time."""
+the window each decoded mask builds from its runs only when needed."""
 
 from __future__ import annotations
 
@@ -12,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otq.masks as mask_module
-from otq import Mask, dilate, erode, intersection_area, iou, match_trees, rle_decode, size_bin
+from otq import (Mask, dilate, erode, intersection_area, iou, match_trees, parse_tree,
+                 rle_decode, serialize_tree, size_bin)
 from otq.masks import RunTable, boxes_meet, pair_intersections, pair_ious, rle_decode_all
 
 from conftest import make_tree
@@ -136,6 +136,16 @@ class TestPairIntersections:
         assert pair_intersections(table, np.array([0]), np.array([1])).tolist() == [4]
         assert table.starts is None
 
+    def test_a_parsed_tree_whose_masks_all_hold_windows_is_intersected_on_them(self):
+        tree = parse_tree(serialize_tree(make_tree(
+            [(1, "a", None, Mask.from_rect(6, 5, 0, 0, 3, 4)),
+             (2, "b", 1, Mask.from_rect(6, 5, 1, 2, 4, 4))], width=6, height=5)))
+        table = tree.run_table
+        for node in tree.nodes.values():
+            node.mask.window
+        assert pair_intersections(table, np.array([0, 1]), np.array([1, 1])).tolist() == [4, 16]
+        assert table.before is None
+
     def test_lists_too_large_for_one_table_are_intersected_pair_by_pair(self):
         # Two masks decoded one at a time on a 2**31 x 2**30 canvas: their
         # table keys would reach 2**62, so the pairs are intersected on their
@@ -154,8 +164,8 @@ class TestPairIntersections:
 
 
 class TestLazyWindows:
-    """Decoded masks hold runs; their windows are today's eager windows,
-    built for the whole document the first time one is needed."""
+    """Decoded masks hold runs; each builds its window, the window a mask
+    made from pixels holds, the first time it is needed."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -186,15 +196,16 @@ class TestLazyWindows:
                     assert back.window.tobytes() == window.tobytes()
                     assert back.window.flags.c_contiguous and not back.window.flags.writeable
 
-    def test_a_document_builds_its_windows_once(self, monkeypatch):
+    def test_a_mask_builds_its_own_window_once(self, monkeypatch):
         calls = []
-        build = mask_module._build_windows
-        monkeypatch.setattr(mask_module, "_build_windows",
-                            lambda *args: calls.append(args) or build(*args))
+        build = mask_module._runs_window
+        monkeypatch.setattr(mask_module, "_runs_window",
+                            lambda m: calls.append(m) or build(m))
         decoded = rle_decode_all(["0 3 9", "4 2 6", "12"], 4, 3)
         assert [m.to_rle() for m in decoded] == ["0 3 9", "4 2 6", "12"]
         assert calls == []
         assert decoded[1].window.shape == (2, 1)
-        assert len(calls) == 1
-        assert [m.area for m in decoded] == [int(np.count_nonzero(m.window)) for m in decoded]
-        assert len(calls) == 1
+        assert calls == [decoded[1]]
+        assert decoded[0]._window is None
+        assert decoded[1].window.tobytes() == b"\x01\x01"
+        assert calls == [decoded[1]]

@@ -246,6 +246,14 @@ class TestMorphology:
         out = dilate(m, 2.0)
         assert 16 <= out.area <= 36
 
+    @pytest.mark.parametrize("morph, ratio, problem", [
+        (dilate, float("nan"), "grow ratio"), (dilate, 0.5, "grow ratio"),
+        (erode, float("nan"), "keep ratio"), (erode, 1.5, "keep ratio"),
+    ])
+    def test_ratio_out_of_range_is_refused(self, morph, ratio, problem):
+        with pytest.raises(MaskError, match=problem):
+            morph(rect(10, 10, 4, 4, 2, 2), ratio)
+
     def test_dilate_never_removes_pixels(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
