@@ -17,7 +17,12 @@ holding its bbox, area and runs; a decoded mask that needs a window
 (morphology, union, difference, ``intersection_area``, ``iou``,
 ``containment``) fills its own from its runs the first time.  A mask made
 from pixels holds its window and derives its runs the first time they are
-needed (encoding, equality, scoring next to decoded masks).  Scoring reads
+needed (encoding, equality, scoring next to decoded masks); a rectangle
+(``from_rect``) holds both forms from the start, one run per column, or one
+run in all when it spans the canvas height.  ``Mask.to_rle`` keeps the
+string it encodes, as masks are immutable: a tree that shares another's
+masks, such as a structural degradation of it, serializes with no encoding,
+and ``rle_encode`` stays the only encoder.  Scoring reads
 many mask pairs of a tree at once through a ``RunTable``:
 ``overlapping_ious`` scores the bbox-meeting pairs of two tables, and
 ``pair_intersections`` joins their runs in one vectorized pass, the
@@ -74,13 +79,14 @@ class Mask:
     read-only array (shape (0, 0) when empty), also after a pickle round
     trip.  A decoded mask holds its bbox, area and runs, and fills its
     window from its runs the first time it needs one.  A mask made from
-    pixels (``Mask(pixels)``, ``from_rect``, morphology, union, difference)
-    holds its window and derives its runs the first time they are needed.
-    A mask without a window is pickled as its runs.  Do not mutate a mask
-    after construction.
+    pixels (``Mask(pixels)``, morphology, union, difference) holds its
+    window and derives its runs the first time they are needed; a rectangle
+    (``from_rect``) holds both from the start.  ``to_rle`` encodes a mask
+    once and keeps the string.  A mask without a window is pickled as its
+    runs.  Do not mutate a mask after construction.
     """
 
-    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs")
+    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs", "_rle")
 
     def __init__(self, pixels: np.ndarray) -> None:
         """Mask of a full-canvas (height, width) boolean array."""
@@ -90,19 +96,19 @@ class Mask:
         self.height, self.width = arr.shape
         self.bbox, self._window = _tight(arr, 0, 0)
         self._window.setflags(write=False)
-        self._area = self._runs = None
+        self._area = self._runs = self._rle = None
 
     @classmethod
     def _of(cls, height: int, width: int, bbox: Box | None,
             window: np.ndarray | None, area: int | None = None,
             runs: Runs | None = None) -> "Mask":
-        """Mask of a window already cropped to the tight ``bbox``, or of the
-        runs of a decoded mask."""
+        """Mask of a window already cropped to the tight ``bbox``, of the
+        runs of a decoded mask, or of both."""
         mask = cls.__new__(cls)
         if window is not None:
             window.setflags(write=False)
         mask.height, mask.width, mask.bbox, mask._window = height, width, bbox, window
-        mask._area, mask._runs = area, runs
+        mask._area, mask._runs, mask._rle = area, runs, None
         return mask
 
     def __reduce__(self):
@@ -133,13 +139,17 @@ class Mask:
         return self._area
 
     def to_rle(self) -> str:
-        return rle_encode(self)
+        """The mask's ``rle_encode`` string, encoded on the first call."""
+        if self._rle is None:
+            self._rle = rle_encode(self)
+        return self._rle
 
     @classmethod
     def from_rect(cls, width: int, height: int, row: int, col: int,
                   n_rows: int, n_cols: int) -> "Mask":
-        """Solid axis-aligned rectangle, clipped at the canvas's far edges;
-        handy for fixtures and demos."""
+        """Solid axis-aligned rectangle, clipped at the canvas's far edges,
+        holding its window, area and runs: one run per column, or one run
+        in all when it spans the canvas height."""
         if row < 0 or col < 0:
             raise MaskError(f"rectangle offset must be non-negative, got ({row}, {col})")
         if n_rows < 1 or n_cols < 1:
@@ -147,8 +157,15 @@ class Mask:
         r1, c1 = min(row + n_rows, height), min(col + n_cols, width)
         if row >= r1 or col >= c1:
             return cls._of(height, width, None, _NO_PIXELS, 0, _NO_RUNS)
+        if r1 - row == height:
+            starts = np.array([col * height], dtype=np.int64)
+            stops = np.array([c1 * height], dtype=np.int64)
+        else:
+            starts = np.arange(col * height + row, c1 * height, height, dtype=np.int64)
+            stops = starts + (r1 - row)
         return cls._of(height, width, (row, r1, col, c1),
-                       np.ones((r1 - row, c1 - col), dtype=bool))
+                       np.ones((r1 - row, c1 - col), dtype=bool),
+                       (r1 - row) * (c1 - col), (starts, stops))
 
     @classmethod
     def full(cls, width: int, height: int) -> "Mask":

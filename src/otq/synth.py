@@ -24,14 +24,27 @@ DEFAULT_VOCAB = (
 )
 
 
+def _edges(a: int, b: int, n: int) -> list[int]:
+    """``np.linspace(a, b, n + 1).astype(int)`` as a list of ints, for n >= 1.
+
+    linspace takes edge i as the float64 ``i * ((b - a) / n) + a``, in that
+    order, and sets the last edge to ``b``.  Python floats are IEEE float64
+    and ``(b - a) / n`` of two ints is the correctly rounded quotient, as
+    numpy's is, so each sum here is the same float, and ``int`` truncates
+    it toward zero as ``astype(int)`` does.
+    """
+    step = (b - a) / n
+    return [int(i * step + a) for i in range(n)] + [b]
+
+
 def _grid_cells(r0: int, r1: int, c0: int, c1: int,
                 n_rows: int, n_cols: int) -> Iterator[tuple[int, int, int, int]]:
-    row_edges = np.linspace(r0, r1, n_rows + 1).astype(int)
-    col_edges = np.linspace(c0, c1, n_cols + 1).astype(int)
+    if n_rows < 1 or n_cols < 1:
+        return
+    row_edges, col_edges = _edges(r0, r1, n_rows), _edges(c0, c1, n_cols)
     for i in range(n_rows):
         for j in range(n_cols):
-            yield int(row_edges[i]), int(row_edges[i + 1]), \
-                int(col_edges[j]), int(col_edges[j + 1])
+            yield row_edges[i], row_edges[i + 1], col_edges[j], col_edges[j + 1]
 
 
 def synthetic_tree(image_id: str, rng: np.random.Generator, *,

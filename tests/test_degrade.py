@@ -12,6 +12,7 @@ from otq import (
     serialize_tree,
     synthetic_tree,
 )
+import otq.masks as mask_module
 from otq.synth import chunky_corpus
 
 from conftest import make_tree, rect
@@ -135,6 +136,28 @@ class TestNodeMissing:
         report = evaluate_image(out, tree, STRICT)
         assert report.bq == 1.0
         assert report.tq == pytest.approx((n - k) / (n - k + k / 2), abs=1e-12)
+
+
+class TestStructuralKindsShareMasks:
+    def test_prediction_serializes_with_no_encoding(self, monkeypatch):
+        # The benchmark's predictions: nodes dropped, then parents rewired.
+        tree = fixture_tree(3)
+        encode, calls = mask_module.rle_encode, []
+
+        def counted(mask):
+            calls.append(mask)
+            return encode(mask)
+
+        monkeypatch.setattr(mask_module, "rle_encode", counted)
+        pred = tree
+        for kind in ("random_node_missing", "parent_rewire"):
+            pred = degrade_tree(pred, DegradeSpec(kind, 0.8, seed=4))
+        ref_text = serialize_tree(tree)
+        assert len(calls) == tree.n_nodes
+        pred_text = serialize_tree(pred)
+        assert len(calls) == tree.n_nodes
+        assert 0 < pred.n_nodes < tree.n_nodes
+        assert pred_text != ref_text
 
 
 class TestMaskKinds:

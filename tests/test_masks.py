@@ -29,6 +29,7 @@ from otq.masks import (
     RunTable,
     _most_dilation_steps,
     _runs,
+    _window_runs,
     overlapping_ious,
     rle_decode_all,
     rle_decode_table,
@@ -605,6 +606,51 @@ class TestFromRect:
     def test_rejects_negative_offset_or_non_positive_size(self, row, col, n_rows, n_cols):
         with pytest.raises(MaskError):
             Mask.from_rect(4, 3, row, col, n_rows, n_cols)
+
+    @staticmethod
+    def _assert_runs_match_window(m: Mask) -> None:
+        starts, stops = _runs(m)
+        expected = _window_runs(m)
+        assert starts.dtype == stops.dtype == np.int64
+        assert np.array_equal(starts, expected[0]) and np.array_equal(stops, expected[1])
+        assert m.area == int(np.count_nonzero(m.window)) == int((stops - starts).sum())
+
+    @pytest.mark.parametrize("width,height,row,col,n_rows,n_cols", [
+        (10, 8, 2, 3, 4, 5),  # inside the canvas
+        (10, 8, 5, 7, 9, 9),  # clipped at both far edges
+        (10, 8, 0, 3, 8, 4),  # full height: one run over its columns
+        (10, 8, 0, 0, 20, 20),  # the whole canvas, clipped
+        (10, 8, 4, 6, 1, 1),  # one pixel
+        (10, 8, 0, 9, 8, 1),  # one full-height column at the far edge
+        (7, 1, 0, 2, 1, 3),  # a height-1 canvas
+        (7, 1, 0, 6, 5, 5),  # ... clipped to its last pixel
+        (1, 1, 0, 0, 1, 1),
+    ])
+    def test_runs_equal_those_of_its_window(self, width, height, row, col, n_rows, n_cols):
+        self._assert_runs_match_window(Mask.from_rect(width, height, row, col, n_rows, n_cols))
+
+    @given(st.data())
+    def test_runs_equal_those_of_its_window_drawn(self, data):
+        height, width = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        row, col = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
+        n_rows = data.draw(st.integers(1, height + 2))
+        n_cols = data.draw(st.integers(1, width + 2))
+        self._assert_runs_match_window(Mask.from_rect(width, height, row, col, n_rows, n_cols))
+
+
+class TestToRleKeepsItsString:
+    @pytest.mark.parametrize("make", [
+        lambda: Mask.from_rect(10, 8, 2, 3, 4, 5),
+        lambda: Mask.from_rect(10, 8, 0, 3, 8, 4),
+        lambda: Mask(np.eye(5, 6, dtype=bool)),
+        lambda: Mask(np.zeros((3, 4), dtype=bool)),
+        lambda: rle_decode("3 4 2 4 7", 4, 5),
+    ], ids=["rect", "full-height rect", "pixels", "empty", "decoded"])
+    def test_second_call_returns_the_same_string(self, make):
+        m = make()
+        first = m.to_rle()
+        assert m.to_rle() is first
+        assert first == rle_encode(m) == rle_encode(make())
 
 
 class TestSizeBin:
