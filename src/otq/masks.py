@@ -1,39 +1,37 @@
 """Binary instance masks: RLE codec, overlap geometry, morphology, size bins.
 
-A mask stores its canvas shape, its tight bounding box and its pixels in
-one or both of two forms, so its memory scales with the object, not with
-the canvas: its foreground runs, and a read-only boolean window of the
-bounding box's size.  The wire format is uncompressed COCO-style RLE:
-pixels are read in column-major order and encoded as space-separated run
-lengths, with the first run counting zeros (possibly 0).
+A mask stores its canvas shape, its tight bounding box, its area and its
+pixels in one form, its foreground runs, so its memory scales with the
+object, not with the canvas.  The wire format is uncompressed COCO-style
+RLE: pixels are read in column-major order and encoded as space-separated
+run lengths, with the first run counting zeros (possibly 0).
 ``rle_decode_table`` decodes the strings of one document together into a
 ``RunTable``, the document's masks as columns (bboxes, areas and all their
 runs end to end), without making a ``Mask``: when all strings are
 canonical text (ASCII digits separated by single spaces) it reads and
 checks their runs in one vectorized pass, and every other document is read
 one string at a time with ``int``, accepting whatever ``int`` accepts.
-``RunTable.decoded_masks`` (and ``rle_decode_all``) makes the masks, each
-holding its bbox, area and runs; a decoded mask that needs a window
-(morphology, union, difference, ``intersection_area``, ``iou``,
-``containment``) fills its own from its runs the first time.  A mask made
-from pixels holds its window and derives its runs the first time they are
-needed (encoding, equality, scoring next to decoded masks); a rectangle
-(``from_rect``) holds both forms from the start, one run per column, or one
-run in all when it spans the canvas height.  ``Mask.to_rle`` keeps the
-string it encodes, as masks are immutable: a tree that shares another's
-masks, such as a structural degradation of it, serializes with no encoding,
-and ``rle_encode`` stays the only encoder.  Scoring reads
-many mask pairs of a tree at once through a ``RunTable``:
-``overlapping_ious`` scores the bbox-meeting pairs of two tables, and
-``pair_intersections`` joins their runs in one vectorized pass, the
-RLE-domain intersection of the COCO mask API's ``rleIou``, so scoring
-decoded masks builds no window; pairs of masks that all hold windows are
-intersected on them.  Erosion and dilation pack a region's rows into one
-Python int and keep the 3x3 step count whose area is closest to a target;
-k steps are an erosion or dilation by a (2k + 1)-square, the pixels within
-chessboard distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is
-found by bisection, each jump an AND or OR of the int shifted by bits and
-by rows.
+``RunTable.decoded_masks`` makes the masks, each holding its bbox, area and
+runs.  ``Mask.to_rle`` keeps the string it encodes, as masks are
+immutable: a tree that shares another's masks, such as a structural
+degradation of it, serializes with no encoding, and ``rle_encode`` stays
+the only encoder.
+
+Every overlap is counted on runs, the RLE-domain intersection of the COCO
+mask API's ``rleIou``: the pixels of a set of runs below any offset follow
+from their cumulative lengths after one ``np.searchsorted`` (``_below``).
+``pair_intersections`` counts many pairs of a ``RunTable`` in one
+vectorized pass (``overlapping_ious`` scores the bbox-meeting pairs of two
+tables), and ``intersection_area``, ``iou`` and ``containment`` count one
+pair.  Union and difference combine runs into runs.  Erosion and dilation
+pack a region's columns straight from the runs into one Python int and
+keep the 3x3 step count whose area is closest to a target; k steps are an
+erosion or dilation by a (2k + 1)-square, the pixels within chessboard
+distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is found by
+bisection, each jump an AND or OR of the int shifted by bits and by
+columns.  The kept step's bits go straight back to runs.  A mask's
+``window``, its pixels inside its bbox as an array, is computed from the
+runs on each read.
 """
 
 from __future__ import annotations
@@ -57,8 +55,9 @@ Runs = tuple[np.ndarray, np.ndarray]
 
 # The window and the runs of every empty mask.
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
-_NO_PIXELS.setflags(write=False)
 _NO_RUNS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+for _empty in (_NO_PIXELS, *_NO_RUNS):
+    _empty.setflags(write=False)
 
 
 class SizeBin(enum.Enum):
@@ -72,71 +71,53 @@ class Mask:
     """A binary mask on a fixed ``height`` x ``width`` canvas.
 
     ``bbox`` is the tight bounding box ``(row0, row1, col0, col1)``,
-    half-open, or None for an empty mask.  A mask holds one or both of two
-    forms of its pixels.  Its runs are the half-open ``(start, stop)``
-    column-major canvas offsets of its foreground runs, as two int64 arrays.
-    Its ``window`` holds the pixels inside ``bbox`` as a C-contiguous
-    read-only array (shape (0, 0) when empty), also after a pickle round
-    trip.  A decoded mask holds its bbox, area and runs, and fills its
-    window from its runs the first time it needs one.  A mask made from
-    pixels (``Mask(pixels)``, morphology, union, difference) holds its
-    window and derives its runs the first time they are needed; a rectangle
-    (``from_rect``) holds both from the start.  ``to_rle`` encodes a mask
-    once and keeps the string.  A mask without a window is pickled as its
-    runs.  Do not mutate a mask after construction.
+    half-open, or None for an empty mask, and ``area`` its pixel count.  Its
+    pixels are held as runs alone: the half-open ``(start, stop)``
+    column-major canvas offsets of its foreground runs, as two read-only
+    int64 arrays.  The runs are maximal, so a run that ends at the canvas's
+    bottom row and resumes at the top of the next column is one run, and
+    equal pixels are equal runs.  ``window``, the pixels inside ``bbox`` as
+    a read-only C-contiguous array (shape (0, 0) when empty), is computed
+    from the runs on each read.  ``to_rle`` encodes a mask once and keeps
+    the string.  A mask pickles as its runs.  Do not mutate a mask after
+    construction.
     """
 
-    __slots__ = ("height", "width", "bbox", "_window", "_area", "_runs", "_rle")
+    __slots__ = ("height", "width", "bbox", "area", "_runs", "_rle")
 
     def __init__(self, pixels: np.ndarray) -> None:
         """Mask of a full-canvas (height, width) boolean array."""
         arr = np.asarray(pixels, dtype=bool)
         if arr.ndim != 2:
             raise MaskError(f"mask must be 2-D, got shape {arr.shape}")
-        self.height, self.width = arr.shape
-        self.bbox, self._window = _tight(arr, 0, 0)
-        self._window.setflags(write=False)
-        self._area = self._runs = self._rle = None
+        # The pixels in column-major order between two False ones, so that
+        # every run starts and stops at a change.
+        scan = np.zeros(arr.size + 2, dtype=bool)
+        scan[1:-1] = arr.ravel(order="F")
+        bounds = np.flatnonzero(scan[1:] != scan[:-1])
+        made = _from_runs(*arr.shape, bounds[0::2], bounds[1::2])
+        for name in Mask.__slots__:
+            setattr(self, name, getattr(made, name))
 
     @classmethod
-    def _of(cls, height: int, width: int, bbox: Box | None,
-            window: np.ndarray | None, area: int | None = None,
-            runs: Runs | None = None) -> "Mask":
-        """Mask of a window already cropped to the tight ``bbox``, of the
-        runs of a decoded mask, or of both."""
+    def _of(cls, height: int, width: int, bbox: Box | None, area: int, runs: Runs) -> "Mask":
+        """Mask of read-only maximal runs whose bbox and area are known."""
         mask = cls.__new__(cls)
-        if window is not None:
-            window.setflags(write=False)
-        mask.height, mask.width, mask.bbox, mask._window = height, width, bbox, window
-        mask._area, mask._runs, mask._rle = area, runs, None
+        mask.height, mask.width, mask.bbox, mask.area = height, width, bbox, area
+        mask._runs, mask._rle = runs, None
         return mask
 
     def __reduce__(self):
-        if self._window is None:
-            return _from_runs, (self.height, self.width, *_runs(self))
-        return Mask._of, (self.height, self.width, self.bbox, self._window, self._area)
-
-    @classmethod
-    def _placed(cls, height: int, width: int, row0: int, col0: int,
-                arr: np.ndarray) -> "Mask":
-        """Mask whose pixels are ``arr`` with its corner at (row0, col0) and
-        False elsewhere; the window is trimmed to the tight bbox."""
-        return cls._of(height, width, *_tight(arr, row0, col0))
+        return _from_runs, (self.height, self.width, *self._runs)
 
     @property
     def window(self) -> np.ndarray:
-        """The pixels inside ``bbox``; a decoded mask fills them from its runs
-        on first use."""
-        if self._window is None:
-            self._window = _runs_window(self)
-            self._window.setflags(write=False)
-        return self._window
-
-    @property
-    def area(self) -> int:
-        if self._area is None:
-            self._area = int(np.count_nonzero(self.window))
-        return self._area
+        """The pixels inside ``bbox``, computed from the runs."""
+        if self.bbox is None:
+            return _NO_PIXELS
+        window = np.ascontiguousarray(_runs_window(self).T)
+        window.setflags(write=False)
+        return window
 
     def to_rle(self) -> str:
         """The mask's ``rle_encode`` string, encoded on the first call."""
@@ -147,25 +128,26 @@ class Mask:
     @classmethod
     def from_rect(cls, width: int, height: int, row: int, col: int,
                   n_rows: int, n_cols: int) -> "Mask":
-        """Solid axis-aligned rectangle, clipped at the canvas's far edges,
-        holding its window, area and runs: one run per column, or one run
-        in all when it spans the canvas height."""
+        """Solid axis-aligned rectangle, clipped at the canvas's far edges:
+        one run per column, or one run in all when it spans the canvas
+        height."""
         if row < 0 or col < 0:
             raise MaskError(f"rectangle offset must be non-negative, got ({row}, {col})")
         if n_rows < 1 or n_cols < 1:
             raise MaskError(f"rectangle size must be positive, got {n_rows}x{n_cols}")
         r1, c1 = min(row + n_rows, height), min(col + n_cols, width)
         if row >= r1 or col >= c1:
-            return cls._of(height, width, None, _NO_PIXELS, 0, _NO_RUNS)
+            return cls._of(height, width, None, 0, _NO_RUNS)
         if r1 - row == height:
             starts = np.array([col * height], dtype=np.int64)
             stops = np.array([c1 * height], dtype=np.int64)
         else:
             starts = np.arange(col * height + row, c1 * height, height, dtype=np.int64)
             stops = starts + (r1 - row)
-        return cls._of(height, width, (row, r1, col, c1),
-                       np.ones((r1 - row, c1 - col), dtype=bool),
-                       (r1 - row) * (c1 - col), (starts, stops))
+        starts.setflags(write=False)
+        stops.setflags(write=False)
+        return cls._of(height, width, (row, r1, col, c1), (r1 - row) * (c1 - col),
+                       (starts, stops))
 
     @classmethod
     def full(cls, width: int, height: int) -> "Mask":
@@ -174,10 +156,9 @@ class Mask:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mask):
             return NotImplemented
-        # Runs are maximal, so equal pixels are equal runs.
         return (self.height, self.width, self.bbox) == (
             other.height, other.width, other.bbox) and all(
-            np.array_equal(x, y) for x, y in zip(_runs(self), _runs(other)))
+            np.array_equal(x, y) for x, y in zip(self._runs, other._runs))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -185,47 +166,9 @@ class Mask:
         return f"Mask({self.width}x{self.height}, area={self.area})"
 
 
-def _tight(arr: np.ndarray, row0: int, col0: int) -> tuple[Box | None, np.ndarray]:
-    """Canvas bbox of the True pixels of ``arr`` (placed at row0, col0) and a
-    copy of ``arr`` cropped to it."""
-    rows = np.flatnonzero(arr.any(axis=1))
-    if rows.size == 0:
-        return None, _NO_PIXELS
-    cols = np.flatnonzero(arr.any(axis=0))
-    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    return ((row0 + r0, row0 + r1, col0 + c0, col0 + c1),
-            np.array(arr[r0:r1, c0:c1], dtype=bool, order="C"))
-
-
-def _runs(m: Mask) -> Runs:
-    """The (starts, stops) of ``m``'s foreground runs: maximal, so a run that
-    ends at the canvas's bottom row and resumes at the top of the next column
-    is one run.  A decoded mask holds them; a mask made from pixels derives
-    them from its window once."""
-    if m._runs is None:
-        m._runs = _window_runs(m) if m.bbox is not None else _NO_RUNS
-    return m._runs
-
-
-def _window_runs(m: Mask) -> Runs:
-    r0, _, c0, _ = m.bbox
-    n_rows, n_cols = m.window.shape
-    # The window's columns in scan order, each between two False pixels, so
-    # that every run boundary is an edge inside one column.
-    scan = np.zeros((n_cols, n_rows + 2), dtype=np.int8)
-    scan[:, 1:-1] = m.window.T
-    flat = scan.ravel()
-    col, row = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, n_rows + 2)
-    bounds = (col + c0) * m.height + row + (r0 - 1)
-    starts, stops = bounds[0::2], bounds[1::2]
-    if n_rows == m.height:  # runs can continue into the next column
-        apart = starts[1:] != stops[:-1]
-        starts, stops = starts[np.append(True, apart)], stops[np.append(apart, True)]
-    return starts, stops
-
-
 def _runs_window(m: Mask) -> np.ndarray:
-    """The window of a decoded mask, filled from its runs by a +1/-1
+    """The window of a nonempty mask, transposed (row j of the C-contiguous
+    boolean array is column j of the bbox), filled from its runs by a +1/-1
     difference array over its bbox in column-major order and a cumulative
     sum.  A run crosses a column only when the bbox spans the canvas height,
     so a run's bbox offsets are its canvas offsets less one shift taken at
@@ -238,13 +181,13 @@ def _runs_window(m: Mask) -> np.ndarray:
     cells[starts - shift] = 1
     cells[stops - shift] -= 1
     np.add.accumulate(cells, out=cells)
-    return cells[:-1].view(bool).reshape(c1 - c0, h).T.copy()
+    return cells[:-1].view(bool).reshape(c1 - c0, h)
 
 
 def rle_encode(mask: Mask) -> str:
     """Encode a mask as canonical uncompressed RLE over its canvas."""
     size = mask.height * mask.width
-    starts, stops = _runs(mask)
+    starts, stops = mask._runs
     bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
     bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, stops, size
     runs = (bounds[1:] - bounds[:-1]).tolist()
@@ -255,18 +198,11 @@ def rle_encode(mask: Mask) -> str:
 
 def rle_decode(rle: str, width: int, height: int) -> Mask:
     """Decode one uncompressed RLE string into a mask on a (height, width)
-    canvas: the one-string case of ``rle_decode_all``.  A canonical string
+    canvas: the one-string case of ``rle_decode_table``.  A canonical string
     (ASCII digits separated by single spaces) takes the vectorized pass;
     any other, e.g. with tabs, ``+3`` or non-ASCII digits, is read with
     ``int`` and accepted if ``int`` accepts its tokens."""
-    return rle_decode_all([rle], width, height)[0]
-
-
-def rle_decode_all(rles: Sequence[str], width: int, height: int) -> list[Mask]:
-    """Decode the RLE strings of one document, all on a (height, width)
-    canvas, into masks in the same order: the masks of
-    ``rle_decode_table``."""
-    return rle_decode_table(rles, width, height).decoded_masks()
+    return rle_decode_table([rle], width, height).decoded_masks()[0]
 
 
 def rle_decode_table(rles: Sequence[str], width: int, height: int) -> RunTable:
@@ -377,8 +313,24 @@ def _spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_runs(height: int, width: int, starts: np.ndarray, stops: np.ndarray) -> Mask:
-    """The mask of one set of maximal runs, as a table of its own."""
-    return _decoded(height, width, starts, stops, np.array([starts.size])).decoded_masks()[0]
+    """The mask of maximal runs on a (height, width) canvas, with its bbox
+    and area reduced over them."""
+    if not starts.size:
+        return Mask._of(height, width, None, 0, _NO_RUNS)
+    starts.setflags(write=False)
+    stops.setflags(write=False)
+    top, bottom = _rows(height, starts, stops)
+    return Mask._of(height, width, (int(top.min()), int(bottom.max()), int(starts[0]) // height,
+                                    (int(stops[-1]) - 1) // height + 1),
+                    int((stops - starts).sum()), (starts, stops))
+
+
+def _rows(height: int, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows each run covers, half-open: all of them if it crosses a
+    column boundary."""
+    top = starts % height
+    bottom = top + (stops - starts)
+    return np.where(bottom > height, 0, top), np.minimum(bottom, height)
 
 
 def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
@@ -387,25 +339,20 @@ def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
     mask i, are concatenated in ``starts`` and ``stops`` as table keys (mask
     i's canvas offsets plus i canvas sizes).
 
-    A run's rows are those it covers in its first and last column, and all
-    of them if it crosses a column boundary; each mask's bbox and area are
-    reduced over its runs.  Mask i's columns in key order are its canvas
-    columns plus i * width."""
+    Each mask's bbox (``_rows``) and area are reduced over its runs.  Mask
+    i's columns in key order are its canvas columns plus i * width."""
     boxes = np.zeros((counts.size, 4), dtype=np.int64)
     areas = np.zeros(counts.size, dtype=np.int64)
     if starts.size:
-        first_col, last_col = starts // height, (stops - 1) // height
-        crosses = first_col != last_col
-        top = np.where(crosses, 0, starts - first_col * height)
-        bottom = np.where(crosses, height, stops - last_col * height)
+        top, bottom = _rows(height, starts, stops)
         edge = np.cumsum(counts) - counts
         runs_of = np.flatnonzero(counts)
         first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
         shift = runs_of * width
         boxes[runs_of, 0] = np.minimum.reduceat(top, first)
         boxes[runs_of, 1] = np.maximum.reduceat(bottom, first)
-        boxes[runs_of, 2] = first_col[first] - shift
-        boxes[runs_of, 3] = last_col[last] + 1 - shift
+        boxes[runs_of, 2] = starts[first] // height - shift
+        boxes[runs_of, 3] = (stops[last] - 1) // height + 1 - shift
         areas[runs_of] = np.add.reduceat(stops - starts, first)
     return RunTable._columns(height, width, boxes, areas, starts, stops, counts)
 
@@ -430,23 +377,6 @@ def _overlap(a: Box | None, b: Box | None) -> Box | None:
     return (r0, r1, c0, c1) if r0 < r1 and c0 < c1 else None
 
 
-def _within(m: Mask, box: Box) -> np.ndarray:
-    """The part of ``m``'s window inside the canvas box ``box``."""
-    r0, _, c0, _ = m.bbox
-    return m.window[box[0] - r0:box[1] - r0, box[2] - c0:box[3] - c0]
-
-
-def _region(m: Mask, box: Box) -> np.ndarray:
-    """The pixels of ``m`` inside the canvas box ``box``, as a new writable
-    array of the box's size."""
-    out = np.zeros((box[1] - box[0], box[3] - box[2]), dtype=bool)
-    inner = _overlap(m.bbox, box)
-    if inner is not None:
-        out[inner[0] - box[0]:inner[1] - box[0],
-            inner[2] - box[2]:inner[3] - box[2]] = _within(m, inner)
-    return out
-
-
 def _boxes(masks: Sequence[Mask]) -> np.ndarray:
     """The masks' bboxes as an (n, 4) array; an empty mask's box (0, 0, 0, 0)
     overlaps no box."""
@@ -465,61 +395,94 @@ def boxes_meet(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 _KEY_LIMIT = 2**62
 
 
+def _prefix(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lead`` and ``before`` of sorted disjoint runs, as ``_below`` reads
+    them: ``before[k]`` counts the pixels of runs 0 to k - 1, and
+    ``lead[k]`` is ``before[k - 1]`` less the start of run k - 1 (both 0 for
+    k = 0)."""
+    before = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(stops - starts, out=before[1:])
+    lead = np.zeros_like(before)
+    lead[1:] = before[:-1] - starts
+    return lead, before
+
+
+def _below(starts: np.ndarray, lead: np.ndarray, before: np.ndarray,
+           y: np.ndarray) -> np.ndarray:
+    """The pixels of sorted disjoint runs (``_prefix``) below each offset of
+    ``y``: ``min(y + lead[k], before[k])``, with k the number of runs
+    starting at or before it."""
+    k = np.searchsorted(starts, y, side="right")
+    return np.minimum(y + lead[k], before[k])
+
+
 class RunTable:
     """The masks of one list on one canvas as columns, kept for scoring many
     pairs of them at once (``pair_intersections``).
 
     ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.
     The run table holds the runs of all masks end to end, sorted by
-    ``starts``, mask m's shifted by m canvas sizes; its runs are
-    ``first[m]`` on, ``counts[m]`` of them.  The table pixels below a key y
-    are ``min(y + lead[k], before[k])``, with k the number of runs starting
-    at or before y: ``before[k]`` counts the pixels of runs 0 to k - 1, and
-    ``lead[k]`` is ``before[k - 1]`` less the start of run k - 1 (both 0 for
-    k = 0).
+    ``starts``, mask m's shifted by m canvas sizes (its table keys); its
+    runs are ``first[m]`` on, ``counts[m]`` of them.  ``lead`` and
+    ``before`` (``_prefix``) are computed on first use.  A list whose keys
+    would reach 2**62, which int64 sums of two keys could not hold, has no
+    run table: its ``starts`` and ``stops`` are None.
 
     A table made from a list of masks (``RunTable(masks)``) keeps them as
-    ``masks`` and lays its runs out on first use.  A decoded table
-    (``rle_decode_table``) has its runs from the start and ``masks`` None
+    ``masks``.  A decoded table (``rle_decode_table``) has ``masks`` None
     until ``decoded_masks`` makes them, each holding its own runs.
     """
 
     __slots__ = ("masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
-                 "lead", "before", "counts", "first", "_parts")
+                 "counts", "first", "lead", "before")
 
     def __init__(self, masks: Sequence[Mask]) -> None:
         _require_one_canvas(masks)
+        height, width = (masks[0].height, masks[0].width) if masks else (0, 0)
+        counts = np.array([m._runs[0].size for m in masks], dtype=np.int64)
+        starts = stops = None
+        if len(masks) * height * width < _KEY_LIMIT:
+            shift = np.repeat(np.arange(counts.size) * (height * width), counts)
+            starts, stops = (np.concatenate([m._runs[k] for m in masks] or [_NO_RUNS[k]]) + shift
+                             for k in (0, 1))
+        self._set(height, width, _boxes(masks),
+                  np.array([m.area for m in masks], dtype=np.int64), starts, stops, counts)
         self.masks = list(masks)
-        self.height, self.width = (masks[0].height, masks[0].width) if masks else (0, 0)
-        self.size = self.height * self.width
-        self.boxes = _boxes(masks)
-        self.areas = np.array([m.area for m in masks], dtype=np.int64)
-        self.starts = self.before = self._parts = None
+
+    def _set(self, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
+             starts: np.ndarray | None, stops: np.ndarray | None, counts: np.ndarray) -> None:
+        self.height, self.width, self.size = height, width, height * width
+        self.boxes, self.areas, self.starts, self.stops, self.counts = (
+            boxes, areas, starts, stops, counts)
+        self.first = np.cumsum(counts) - counts
+        self.lead = self.before = None
 
     @classmethod
     def _columns(cls, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
                  starts: np.ndarray, stops: np.ndarray, counts: np.ndarray) -> "RunTable":
         """The decoded table of the given columns."""
         t = cls.__new__(cls)
-        t.masks, t.height, t.width, t.size = None, height, width, height * width
         starts.setflags(write=False)
         stops.setflags(write=False)
-        t.boxes, t.areas, t.starts, t.stops, t.counts = boxes, areas, starts, stops, counts
-        t.first = np.cumsum(counts) - counts
-        t.before = t._parts = None
+        t._set(height, width, boxes, areas, starts, stops, counts)
+        t.masks = None
         return t
 
     def joined(self, other: "RunTable") -> "RunTable":
-        """The table of this list's masks followed by ``other``'s."""
-        out = RunTable.__new__(RunTable)
-        out.masks = (None if self.masks is None or other.masks is None
-                     else self.masks + other.masks)
-        canvas = self if self.size else other
-        out.height, out.width, out.size = canvas.height, canvas.width, canvas.size
-        out.boxes = np.concatenate((self.boxes, other.boxes))
-        out.areas = np.concatenate((self.areas, other.areas))
-        out.starts = out.before = None
-        out._parts = (self, other)
+        """The table of this list's masks followed by ``other``'s: the two
+        run tables end to end, ``other``'s keys shifted past this one's."""
+        n, canvas = self.areas.size, self if self.size else other
+        if (n + other.areas.size) * canvas.size >= _KEY_LIMIT:
+            return RunTable(self.decoded_masks() + other.decoded_masks())
+        shift = n * canvas.size
+        out = RunTable._columns(canvas.height, canvas.width,
+                                np.concatenate((self.boxes, other.boxes)),
+                                np.concatenate((self.areas, other.areas)),
+                                np.concatenate((self.starts, other.starts + shift)),
+                                np.concatenate((self.stops, other.stops + shift)),
+                                np.concatenate((self.counts, other.counts)))
+        if self.masks is not None and other.masks is not None:
+            out.masks = self.masks + other.masks
         return out
 
     def reordered(self, order: Sequence[int]) -> "RunTable":
@@ -544,84 +507,36 @@ class RunTable:
             starts.setflags(write=False)
             stops.setflags(write=False)
             # Masks are immutable, so the empty ones can be one object.
-            empty = Mask._of(h, w, None, _NO_PIXELS, 0, _NO_RUNS)
+            empty = Mask._of(h, w, None, 0, _NO_RUNS)
             self.masks = [
-                Mask._of(h, w, box, None, area, (starts[a:b], stops[a:b])) if area else empty
+                Mask._of(h, w, box, area, (starts[a:b], stops[a:b])) if area else empty
                 for box, area, a, b in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
                                            self.first.tolist(),
                                            (self.first + self.counts).tolist())]
         return self.masks
-
-    def _laid_out(self) -> bool:
-        """Lay the run table out, unless done; False if its keys would reach
-        2**62, which int64 sums of two keys could not hold."""
-        if self.before is not None:
-            return True
-        if self.areas.size * self.size >= _KEY_LIMIT:
-            return False
-        if self._parts is not None:
-            a, b = self._parts
-            a._laid_out()
-            b._laid_out()
-            shift, total = a.areas.size * self.size, a.before[-1]
-            self.stops = np.concatenate((a.stops, b.stops + shift))
-            self.lead = np.concatenate((a.lead, b.lead[1:] + (total - shift)))
-            self.counts = np.concatenate((a.counts, b.counts))
-            self.first = np.concatenate((a.first, b.first + a.starts.size))
-            self.starts = np.concatenate((a.starts, b.starts + shift))
-            self.before = np.concatenate((a.before, b.before[1:] + total))
-            return True
-        if self.starts is None:
-            runs = [_runs(m) for m in self.masks]
-            counts = np.array([s.size for s, _ in runs], dtype=np.int64)
-            shift = np.repeat(np.arange(counts.size) * self.size, counts)
-            self.stops = np.concatenate([r for _, r in runs] or [_NO_RUNS[1]]) + shift
-            self.counts, self.first = counts, np.cumsum(counts) - counts
-            self.starts = np.concatenate([r for r, _ in runs] or [_NO_RUNS[0]]) + shift
-        before = np.zeros(self.starts.size + 1, dtype=np.int64)
-        np.cumsum(self.stops - self.starts, out=before[1:])
-        self.lead = np.zeros_like(before)
-        self.lead[1:] = before[:-1] - self.starts
-        self.before = before
-        return True
-
-
-def _all_windows(t: RunTable, build: bool) -> list[np.ndarray] | None:
-    """The windows of ``t``'s masks in order, if each holds one or
-    ``build`` is set (which builds them, and a decoded table's masks); None
-    otherwise."""
-    if t._parts is not None:
-        a, b = (_all_windows(part, build) for part in t._parts)
-        return None if a is None or b is None else a + b
-    masks = t.decoded_masks() if build else t.masks
-    if masks is not None and (build or all(m._window is not None for m in masks)):
-        return [m.window for m in masks]
-    return None
 
 
 def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Pixel counts of masks ``i[k]`` AND ``j[k]`` of ``t`` for every k, as
     exact int64; the paired masks must be nonempty.
 
-    When every mask of the list holds its window, or the run table's keys
-    would reach 2**62, the pairs are intersected on their windows, one at a
-    time.  Otherwise they are joined on the run table: for each pair, the
-    runs of the mask with fewer runs that meet the other mask's span are
-    moved into the other mask's canvas of the table; each adds the table
-    pixels below its stop less those below its start, found with one
-    ``np.searchsorted``, and ``np.add.reduceat`` sums them per pair.  This
-    is the run-length intersection of the COCO mask API's ``rleIou``, done
-    for all pairs of an image at once.
+    The pairs are joined on the run table: for each pair, the runs of the
+    mask with fewer runs that meet the other mask's span are moved into the
+    other mask's canvas of the table; each adds the table pixels below its
+    stop less those below its start (``_below``), and ``np.add.reduceat``
+    sums them per pair.  This is the run-length intersection of the COCO
+    mask API's ``rleIou``, done for all pairs of an image at once.  A list
+    with no run table is intersected one pair at a time
+    (``intersection_area``).
     """
-    windows = _all_windows(t, build=False)
-    if windows is None and not t._laid_out():
-        windows = _all_windows(t, build=True)
-    if windows is not None:
-        boxes = t.boxes.tolist()
-        return np.array([_windows_and(boxes[x], windows[x], boxes[y], windows[y])
+    if t.starts is None:
+        masks = t.decoded_masks()
+        return np.array([_intersection(masks[x], masks[y])
                          for x, y in zip(i.tolist(), j.tolist())], dtype=np.int64)
     if i.size == 0:
         return np.zeros(0, dtype=np.int64)
+    if t.before is None:
+        t.lead, t.before = _prefix(t.starts, t.stops)
     starts, stops, counts, first = t.starts, t.stops, t.counts, t.first
     # q is each pair's mask with fewer runs and o the other; d moves q's
     # runs into o's canvas of the table.  Of q's runs, those that meet o's
@@ -635,9 +550,8 @@ def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     offset = np.cumsum(n) - n
     run = np.arange(offset[-1] + n[-1]) + np.repeat(lo - offset, n)
     shift = np.repeat(d, n)
-    y = np.concatenate((starts[run] + shift, stops[run] + shift))
-    k = np.searchsorted(starts, y, side="right")
-    covered = np.minimum(y + t.lead[k], t.before[k])
+    covered = _below(starts, t.lead, t.before,
+                     np.concatenate((starts[run] + shift, stops[run] + shift)))
     out = np.zeros(i.size, dtype=np.int64)
     met = np.flatnonzero(n)
     if met.size:
@@ -668,29 +582,19 @@ def overlapping_ious(a: RunTable, b: RunTable) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _intersection(a: Mask, b: Mask) -> int:
-    """Pixel count of a AND b over their bbox overlap window; the caller has
-    checked that the canvases match."""
+    """Pixel count of a AND b, the caller having checked that the canvases
+    match: each run of a adds b's pixels below its stop less those below
+    its start (``_below``)."""
     if _overlap(a.bbox, b.bbox) is None:
         return 0
-    return _windows_and(a.bbox, a.window, b.bbox, b.window)
-
-
-def _windows_and(ab: Sequence[int], aw: np.ndarray, bb: Sequence[int],
-                 bw: np.ndarray) -> int:
-    """Pixel count of windows ``aw`` AND ``bw``, placed at the canvas boxes
-    ``ab`` and ``bb``, over the boxes' overlap."""
-    ar0, ar1, ac0, ac1 = ab
-    br0, br1, bc0, bc1 = bb
-    r0, r1 = ar0 if ar0 > br0 else br0, ar1 if ar1 < br1 else br1
-    c0, c1 = ac0 if ac0 > bc0 else bc0, ac1 if ac1 < bc1 else bc1
-    if r0 >= r1 or c0 >= c1:
-        return 0
-    return int(np.count_nonzero(aw[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
-                                & bw[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]))
+    starts, stops = b._runs
+    covered = _below(starts, *_prefix(starts, stops), np.concatenate(a._runs))
+    n = a._runs[0].size
+    return int((covered[n:] - covered[:n]).sum())
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
-    """Pixel count of a AND b, computed on the bbox overlap window only."""
+    """Pixel count of a AND b."""
     _require_same_canvas(a, b)
     return _intersection(a, b)
 
@@ -717,27 +621,38 @@ def containment(child: Mask, parent: Mask) -> float:
     return _intersection(child, parent) / child.area
 
 
+def _holding(starts: np.ndarray, stops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many of the runs, their starts and their stops each sorted, hold
+    each offset of ``x``."""
+    return np.searchsorted(starts, x, side="right") - np.searchsorted(stops, x, side="right")
+
+
+def _kept(m: Mask, bounds: np.ndarray, kept: np.ndarray) -> Mask:
+    """The mask on ``m``'s canvas of the pixels from ``bounds[k]`` to
+    ``bounds[k + 1]`` for each k with ``kept[k]``; the last k is never kept.
+    Its runs start and stop where ``kept`` changes, so they are maximal."""
+    change = bounds[np.flatnonzero(np.diff(kept, prepend=False))]
+    return _from_runs(m.height, m.width, change[0::2], change[1::2])
+
+
 def union_masks(masks: Sequence[Mask]) -> Mask:
-    """Pixel-wise union of one or more masks on a shared canvas, built over
-    the union of their bboxes."""
+    """Pixel-wise union of one or more masks on a shared canvas, merged from
+    their runs."""
     if not masks:
         raise MaskError("union of an empty mask list")
     _require_one_canvas(masks)
-    boxes = [m.bbox for m in masks if m.bbox is not None]
-    if not boxes:
-        return masks[0]
-    box = tuple(pick(b[k] for b in boxes) for k, pick in enumerate((min, max, min, max)))
-    return Mask._placed(masks[0].height, masks[0].width, box[0], box[2],
-                        np.logical_or.reduce([_region(m, box) for m in masks]))
+    starts, stops = (np.sort(np.concatenate([m._runs[k] for m in masks])) for k in (0, 1))
+    bounds = np.union1d(starts, stops)
+    return _kept(masks[0], bounds, _holding(starts, stops, bounds) > 0)
 
 
 def mask_difference(a: Mask, b: Mask) -> Mask:
-    """Pixels of a not covered by b, computed over a's bbox."""
+    """Pixels of a not covered by b: b's runs subtracted from a's."""
     _require_same_canvas(a, b)
     if _overlap(a.bbox, b.bbox) is None:
         return a
-    return Mask._placed(a.height, a.width, a.bbox[0], a.bbox[2],
-                        a.window & ~_region(b, a.bbox))
+    bounds = np.union1d(np.concatenate(a._runs), np.concatenate(b._runs))
+    return _kept(a, bounds, (_holding(*a._runs, bounds) > 0) & (_holding(*b._runs, bounds) == 0))
 
 
 def _grown(m: Mask, k: int) -> Box:
@@ -767,18 +682,23 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
     the later step).  A dilation that reaches full-canvas coverage stops
     there.
 
-    A region is packed into one int, row-major from bit 0, each row in
-    whole bytes and followed by at least ``guard`` zero bits: the bbox for
-    an erosion, as off-window pixels are off-mask, and for a dilation the
-    bbox grown by the most steps it can take, clipped to the canvas.  The
-    result of a + r steps for r <= a + 1 is the AND (erosion) or OR
-    (dilation) of the result of a steps shifted by -r, 0 and r bits, then
-    by -r, 0 and r rows.  So the step count is found by bisection between
-    0 and the most steps, with each jump r at most a + 1.  An erosion needs
-    one guard bit, as any run of bits that crosses rows holds a zero; a
-    dilation's guard is as wide as its longest jump, and it clears what it
-    spilled into the guard or past the region.  Only the kept step is
-    unpacked."""
+    A 3x3 square is symmetric, so the steps work on the region's transpose:
+    the region is packed into one int column by column from bit 0, straight
+    from the runs, each column in whole bytes and followed by at least
+    ``guard`` zero bits.  The region is the bbox for an erosion, as
+    off-window pixels are off-mask, and for a dilation the bbox grown by the
+    most steps it can take, clipped to the canvas.  The result of a + r
+    steps for r <= a + 1 is the AND (erosion) or OR (dilation) of the result
+    of a steps shifted by -r, 0 and r bits, then by -r, 0 and r columns.  So
+    the step count is found by bisection between 0 and the most steps, with
+    each jump r at most a + 1.  An erosion needs one guard bit, as any run
+    of bits that crosses columns holds a zero; a dilation's guard is as wide
+    as its longest jump, and it clears what it spilled into the guard or
+    past the region.  Only the kept step is turned back into runs: its bits
+    XOR themselves shifted by one bit mark where its runs start and stop,
+    and its bbox is read from those edges.  A run that stops at the bottom
+    of a full-height column and one that starts at the top of the next are
+    one run."""
     cap = min(target, m.height * m.width)
     if grow and m.area >= cap:
         return m
@@ -790,12 +710,12 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
         most = (min(r1 - r0, c1 - c0) + 1) // 2  # erodes the bbox away
         box, guard = m.bbox, 1
     rows, cols = box[1] - box[0], box[3] - box[2]
-    row_bytes = (cols + guard + 7) // 8
-    stride = 8 * row_bytes
-    packed = np.zeros((r1 - r0, row_bytes), dtype=np.uint8)
-    packed[:, :(c1 - c0 + 7) // 8] = np.packbits(m.window, axis=1, bitorder="little")
-    bits = int.from_bytes(packed.tobytes(), "little") << (r0 - box[0]) * stride + c0 - box[2]
-    clip = int.from_bytes(((1 << cols) - 1).to_bytes(row_bytes, "little") * rows,
+    col_bytes = (rows + guard + 7) // 8
+    stride = 8 * col_bytes
+    packed = np.zeros((c1 - c0, col_bytes), dtype=np.uint8)
+    packed[:, :(r1 - r0 + 7) // 8] = np.packbits(_runs_window(m), axis=1, bitorder="little")
+    bits = int.from_bytes(packed, "little") << (c0 - box[2]) * stride + r0 - box[0]
+    clip = int.from_bytes(((1 << rows) - 1).to_bytes(col_bytes, "little") * cols,
                           "little") if grow else 0
     # Steps lo leave the area short of the target; steps hi pass it.
     lo, lo_bits, lo_area = 0, bits, m.area
@@ -818,14 +738,22 @@ def _steps_toward(m: Mask, target: float, grow: bool) -> Mask:
         k, bits, area = lo, lo_bits, lo_area
         if not k:
             return m
-    packed = np.frombuffer(bits.to_bytes(rows * row_bytes, "little"), dtype=np.uint8)
-    arr = np.unpackbits(packed.reshape(rows, row_bytes), axis=1, count=cols,
-                        bitorder="little").view(bool)
-    if not grow:
-        return Mask._placed(m.height, m.width, box[0], box[2], arr)
-    r0, r1, c0, c1 = tight = _grown(m, k)
-    return Mask._of(m.height, m.width, tight,
-                    np.array(arr[r0 - box[0]:r1 - box[0], c0 - box[2]:c1 - box[2]]), area)
+    if not bits:
+        return Mask._of(m.height, m.width, None, 0, _NO_RUNS)
+    changed = np.frombuffer((bits ^ bits << 1).to_bytes(cols * col_bytes, "little"),
+                            dtype=np.uint8)
+    edges = np.unpackbits(changed, bitorder="little").view(bool).nonzero()[0]
+    col, row = np.divmod(edges, stride)
+    bbox = (box[0] + int(row[0::2].min()), box[0] + int(row[1::2].max()),
+            box[2] + int(col[0]), box[2] + int(col[-1]) + 1)
+    bounds = edges + col * (m.height - stride) + (box[2] * m.height + box[0])
+    starts, stops = bounds[0::2], bounds[1::2]
+    if rows == m.height:  # a run that stops at a column's bottom may go on
+        apart = starts[1:] != stops[:-1]
+        starts, stops = starts[np.append(True, apart)], stops[np.append(apart, True)]
+    starts.setflags(write=False)
+    stops.setflags(write=False)
+    return Mask._of(m.height, m.width, bbox, area, (starts, stops))
 
 
 def erode(m: Mask, target_keep_ratio: float) -> Mask:

@@ -1,5 +1,6 @@
-"""Masks kept as runs: the one-join intersection of many mask pairs, and
-the window each decoded mask builds from its runs only when needed."""
+"""Masks kept as runs: the one-join intersection of many mask pairs, the
+pair-by-pair fallback, the window computed from the runs, and the pickle
+form."""
 
 from __future__ import annotations
 
@@ -10,10 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import otq.masks as mask_module
-from otq import (Mask, dilate, erode, intersection_area, iou, match_trees, parse_tree,
-                 rle_decode, serialize_tree, size_bin)
-from otq.masks import RunTable, boxes_meet, pair_intersections, pair_ious, rle_decode_all
+from otq import Mask, dilate, erode, intersection_area, iou, match_trees, rle_decode, size_bin
+from otq.masks import RunTable, boxes_meet, pair_intersections, pair_ious, rle_decode_table
 
 from conftest import make_tree
 from oracles import canvas_pixels, dense_rle_encode
@@ -44,15 +43,15 @@ def nonempty_pixels(draw, height, width):
 def mixed_masks(draw):
     """Masks on one drawn canvas, each decoded (those together, as one
     document), made from pixels, eroded, dilated or a rectangle; at least
-    one is decoded and holds no window, so pairs are joined on runs."""
+    one is decoded."""
     height, width = draw(canvases)
     n = draw(st.integers(1, 7))
     forms = [draw(st.sampled_from(["decoded", "pixels", "eroded", "dilated", "rect"]))
              for _ in range(n)]
     forms[draw(st.integers(0, n - 1))] = "decoded"
     pixels = [draw(nonempty_pixels(height, width)) for _ in range(n)]
-    decoded = iter(rle_decode_all([dense_rle_encode(p) for p, form in zip(pixels, forms)
-                                   if form == "decoded"], width, height))
+    decoded = iter(rle_decode_table([dense_rle_encode(p) for p, form in zip(pixels, forms)
+                                     if form == "decoded"], width, height).decoded_masks())
     out = []
     for form, p in zip(forms, pixels):
         if form == "decoded":
@@ -75,10 +74,10 @@ def _meeting_pairs(table: RunTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decode_last(masks: list[Mask], decode_all: bool) -> list[Mask]:
-    """The masks with the last (or every) one decoded; the others keep their
-    windows, so their runs are derived from them."""
+    """The masks with the last (or every) one decoded; the others are made
+    from their pixels."""
     width, height = masks[0].width, masks[0].height
-    decoded = rle_decode_all([m.to_rle() for m in masks], width, height)
+    decoded = rle_decode_table([m.to_rle() for m in masks], width, height).decoded_masks()
     if decode_all:
         return decoded
     return [Mask(canvas_pixels(m)) for m in masks[:-1]] + decoded[-1:]
@@ -129,27 +128,10 @@ class TestPairIntersections:
         assert table.stops[1] == width * height == table.starts[2]
         _check_join(table)
 
-    def test_masks_that_all_hold_windows_are_intersected_on_them(self, monkeypatch):
-        masks = [Mask.from_rect(6, 5, 0, 0, 3, 4), Mask.from_rect(6, 5, 1, 2, 4, 4)]
-        monkeypatch.setattr(mask_module, "_window_runs", None)  # never called
-        table = RunTable(masks)
-        assert pair_intersections(table, np.array([0]), np.array([1])).tolist() == [4]
-        assert table.starts is None
-
-    def test_a_parsed_tree_whose_masks_all_hold_windows_is_intersected_on_them(self):
-        tree = parse_tree(serialize_tree(make_tree(
-            [(1, "a", None, Mask.from_rect(6, 5, 0, 0, 3, 4)),
-             (2, "b", 1, Mask.from_rect(6, 5, 1, 2, 4, 4))], width=6, height=5)))
-        table = tree.run_table
-        for node in tree.nodes.values():
-            node.mask.window
-        assert pair_intersections(table, np.array([0, 1]), np.array([1, 1])).tolist() == [4, 16]
-        assert table.before is None
-
     def test_lists_too_large_for_one_table_are_intersected_pair_by_pair(self):
         # Two masks decoded one at a time on a 2**31 x 2**30 canvas: their
-        # table keys would reach 2**62, so the pairs are intersected on their
-        # windows.
+        # table keys would reach 2**62, so the list has no run table and the
+        # pairs are intersected one at a time on their runs.
         width, height = 2**31, 2**30
         a, b = (rle_decode(Mask.from_rect(width, height, row, row, n, n).to_rle(), width, height)
                 for row, n in ((5, 3), (6, 4)))
@@ -164,8 +146,8 @@ class TestPairIntersections:
 
 
 class TestLazyWindows:
-    """Decoded masks hold runs; each builds its window, the window a mask
-    made from pixels holds, the first time it is needed."""
+    """Every mask holds runs alone; the window a decoded mask computes from
+    them is the window of the same pixels made into a mask."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -177,7 +159,8 @@ class TestLazyWindows:
         # The same document canonical, and read with ``int`` ("+" is not
         # canonical).
         for document in (rles, ["+" + rles[0], *rles[1:]]):
-            for mask, p in zip(rle_decode_all(document, width, height), pixels):
+            for mask, p in zip(rle_decode_table(document, width, height).decoded_masks(),
+                               pixels):
                 copy = pickle.loads(pickle.dumps(mask))  # before any window
                 eager = Mask(p)
                 window = mask.window
@@ -196,16 +179,40 @@ class TestLazyWindows:
                     assert back.window.tobytes() == window.tobytes()
                     assert back.window.flags.c_contiguous and not back.window.flags.writeable
 
-    def test_a_mask_builds_its_own_window_once(self, monkeypatch):
-        calls = []
-        build = mask_module._runs_window
-        monkeypatch.setattr(mask_module, "_runs_window",
-                            lambda m: calls.append(m) or build(m))
-        decoded = rle_decode_all(["0 3 9", "4 2 6", "12"], 4, 3)
-        assert [m.to_rle() for m in decoded] == ["0 3 9", "4 2 6", "12"]
-        assert calls == []
-        assert decoded[1].window.shape == (2, 1)
-        assert calls == [decoded[1]]
-        assert decoded[0]._window is None
-        assert decoded[1].window.tobytes() == b"\x01\x01"
-        assert calls == [decoded[1]]
+    def test_the_window_is_computed_on_each_read(self):
+        assert not any("window" in name for name in Mask.__slots__)
+        mask = rle_decode("4 2 6", 4, 3)
+        first = mask.window
+        assert mask.window is not first
+        assert mask.window.tobytes() == first.tobytes() == b"\x01\x01"
+
+
+class TestPickledAsRuns:
+    """A mask pickles as its runs, whatever made it."""
+
+    def test_a_large_rectangle_pickles_to_its_runs(self):
+        # One run in each of 1800 columns: two int64 arrays of 14.4 KB each,
+        # where its 1800x1800 window would take 3.24 MB.
+        mask = Mask.from_rect(2048, 2048, 100, 100, 1800, 1800)
+        data = pickle.dumps(mask)
+        assert len(data) < 64 * 2**10
+        back = pickle.loads(data)
+        assert back == mask and back.to_rle() == mask.to_rle()
+        assert (back.bbox, back.area) == (mask.bbox, mask.area)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rle_decode_table(["3 4 2 4 7", "20", "0 20"], 4, 5).decoded_masks(),
+        lambda: [Mask.from_rect(10, 8, 2, 3, 4, 5), Mask.from_rect(10, 8, 0, 3, 8, 4)],
+        lambda: [erode(Mask.from_rect(10, 8, 1, 1, 6, 7), 0.3),
+                 erode(Mask.from_rect(10, 8, 1, 1, 2, 2), 0.01),
+                 dilate(Mask.from_rect(10, 8, 4, 4, 1, 1), 6.0),
+                 dilate(Mask.from_rect(10, 8, 0, 2, 8, 1), 2.5)],
+        lambda: [Mask(np.eye(5, 6, dtype=bool)), Mask(np.zeros((3, 4), dtype=bool))],
+    ], ids=["decoded", "rectangles", "morphology", "pixels"])
+    def test_masks_round_trip_equal(self, make):
+        for mask in make():
+            back = pickle.loads(pickle.dumps(mask))
+            assert back == mask and back.to_rle() == mask.to_rle()
+            assert (back.height, back.width, back.bbox, back.area) == (
+                mask.height, mask.width, mask.bbox, mask.area)
+            assert all(not r.flags.writeable for r in back._runs)

@@ -28,10 +28,7 @@ from otq import (
 from otq.masks import (
     RunTable,
     _most_dilation_steps,
-    _runs,
-    _window_runs,
     overlapping_ious,
-    rle_decode_all,
     rle_decode_table,
 )
 
@@ -344,7 +341,7 @@ class TestMorphologyMatchesIteratedSteps:
         assert out.area == after
         assert np.array_equal(canvas_pixels(out), expected)
 
-    # Fixed edge cases of the packed steps: each row is packed into whole
+    # Fixed edge cases of the packed steps: each column is packed into whole
     # bytes followed by zero guard bits, a step count is reached by jumps of
     # several steps, and a dilation works on its bbox grown by the most
     # steps it can take, clipped to the canvas.
@@ -389,11 +386,26 @@ class TestMorphologyMatchesIteratedSteps:
         for height in (1, 3, 13):
             pixels = rng.random((height, width)) < 0.85
             pixels[:, 0] = pixels[:, -1] = True
-            self._check(pixels, self.RATIOS)
             # The same mask with room to grow on a wider, taller canvas.
             canvas = np.zeros((height + 9, width + 11), dtype=bool)
             canvas[4:4 + height, 5:5 + width] = pixels
-            self._check(canvas, self.RATIOS)
+            # Transposed, the widths are the heights of the packed columns.
+            for p in (pixels, canvas, pixels.T, canvas.T):
+                self._check(p, self.RATIOS)
+
+    @pytest.mark.parametrize("height", [7, 8, 15, 16, 23, 24])
+    def test_short_lines_on_canvas_edges_grown_by_long_jumps(self, height):
+        # A line of one to three pixels on an edge of a canvas whose height
+        # is at or just below a whole number of bytes: the bisection jumps
+        # two steps at once from one step, and a guard one bit narrower than
+        # that jump would carry the canvas's bottom row into the top of the
+        # next column.
+        width = 6
+        for rows in (slice(0, 3), slice(height - 2, height), slice(height - 3, height)):
+            for col in (0, 2, width - 1):
+                pixels = np.zeros((height, width), dtype=bool)
+                pixels[rows, col] = True
+                self._check(pixels, np.arange(2.0, 14.0, 0.25))
 
     def test_dilation_that_covers_the_canvas_short_of_its_target(self):
         pixels = np.zeros((10, 12), dtype=bool)
@@ -608,12 +620,17 @@ class TestFromRect:
             Mask.from_rect(4, 3, row, col, n_rows, n_cols)
 
     @staticmethod
-    def _assert_runs_match_window(m: Mask) -> None:
-        starts, stops = _runs(m)
-        expected = _window_runs(m)
+    def _assert_runs_match_pixels(width: int, height: int, row: int, col: int,
+                                  n_rows: int, n_cols: int) -> None:
+        m = Mask.from_rect(width, height, row, col, n_rows, n_cols)
+        pixels = np.zeros((height, width), dtype=bool)
+        pixels[row:row + n_rows, col:col + n_cols] = True
+        starts, stops = m._runs
         assert starts.dtype == stops.dtype == np.int64
-        assert np.array_equal(starts, expected[0]) and np.array_equal(stops, expected[1])
-        assert m.area == int(np.count_nonzero(m.window)) == int((stops - starts).sum())
+        assert not starts.flags.writeable and not stops.flags.writeable
+        assert m.to_rle() == dense_rle_encode(pixels)
+        assert m == Mask(pixels) and m.bbox == dense_bbox(pixels)
+        assert m.area == int(np.count_nonzero(pixels)) == int((stops - starts).sum())
 
     @pytest.mark.parametrize("width,height,row,col,n_rows,n_cols", [
         (10, 8, 2, 3, 4, 5),  # inside the canvas
@@ -626,16 +643,16 @@ class TestFromRect:
         (7, 1, 0, 6, 5, 5),  # ... clipped to its last pixel
         (1, 1, 0, 0, 1, 1),
     ])
-    def test_runs_equal_those_of_its_window(self, width, height, row, col, n_rows, n_cols):
-        self._assert_runs_match_window(Mask.from_rect(width, height, row, col, n_rows, n_cols))
+    def test_runs_equal_those_of_its_pixels(self, width, height, row, col, n_rows, n_cols):
+        self._assert_runs_match_pixels(width, height, row, col, n_rows, n_cols)
 
     @given(st.data())
-    def test_runs_equal_those_of_its_window_drawn(self, data):
+    def test_runs_equal_those_of_its_pixels_drawn(self, data):
         height, width = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
         row, col = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
         n_rows = data.draw(st.integers(1, height + 2))
         n_cols = data.draw(st.integers(1, width + 2))
-        self._assert_runs_match_window(Mask.from_rect(width, height, row, col, n_rows, n_cols))
+        self._assert_runs_match_pixels(width, height, row, col, n_rows, n_cols)
 
 
 class TestToRleKeepsItsString:
@@ -726,7 +743,7 @@ def rle_documents(draw):
 
 
 class TestDocumentDecode:
-    """``rle_decode_all`` against ``oracles.checked_rle_decode``, which
+    """``rle_decode_table`` against ``oracles.checked_rle_decode``, which
     validates one string at a time."""
 
     @settings(max_examples=400)
@@ -739,13 +756,13 @@ class TestDocumentDecode:
                 expected.append(checked_rle_decode(rle, width, height))
             except RleError as exc:
                 with pytest.raises(RleError) as raised:
-                    rle_decode_all(rles, width, height)
+                    rle_decode_table(rles, width, height)
                 assert (raised.value.index, str(raised.value)) == (i, str(exc))
                 with pytest.raises(RleError) as raised:
                     rle_decode(rle, width, height)
                 assert str(raised.value) == str(exc)
                 return
-        masks = rle_decode_all(rles, width, height)
+        masks = rle_decode_table(rles, width, height).decoded_masks()
         assert len(masks) == len(rles)
         for rle, mask, pixels in zip(rles, masks, expected):
             assert mask == Mask(pixels) == rle_decode(rle, width, height)
@@ -753,13 +770,13 @@ class TestDocumentDecode:
             assert mask.window.flags.c_contiguous and not mask.window.flags.writeable
 
     def test_empty_document(self):
-        assert rle_decode_all([], 4, 3) == []
+        assert rle_decode_table([], 4, 3).decoded_masks() == []
 
     def test_runs_are_read_only(self):
         # The masks of a document share its run table, so writing into one
         # mask's runs would change the table that scoring joins on.
         table = rle_decode_table(["1 2 3 4 2", "0 4 8"], 4, 3)
         masks = [*table.decoded_masks(), *table.reordered([1, 0]).decoded_masks()]
-        for runs in (table.starts, table.stops, *(r for m in masks for r in _runs(m))):
+        for runs in (table.starts, table.stops, *(r for m in masks for r in m._runs)):
             assert runs.size and not runs.flags.writeable
 
