@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
-from .masks import Mask, dilate, erode
+from .masks import Mask, RunTable, dilate, erode
 from .seeding import choose, derive_rng, sample_without_replacement
-from .tree import ROOT_ID, InstanceNode, OpenTree
+from .tree import ROOT_ID, OpenTree
 
 KINDS = (
     "mask_erosion",
@@ -63,44 +63,45 @@ def _corrupt_count(keep_ratio: float, n_candidates: int) -> int:
 
 
 def _rebuild_without(tree: OpenTree, removed: set[int],
-                     masks: dict[int, Mask] | None = None) -> OpenTree:
+                     masks: list[Mask] | None = None) -> OpenTree:
     """Drop `removed` nodes, splicing survivors to their nearest surviving
-    ancestor (possibly the root); `masks`, if given, replaces every
-    survivor's mask."""
-    nodes = []
-    for node in tree.nodes.values():
-        if node.node_id in removed:
-            continue
-        parent = node.parent_id
-        while parent != ROOT_ID and parent in removed:
-            parent = tree.nodes[parent].parent_id
-        mask = node.mask if masks is None else masks[node.node_id]
-        nodes.append(InstanceNode(node.node_id, node.label, mask, parent))
-    return OpenTree(tree.canvas, nodes)
+    ancestor (possibly the root); `masks`, if given, replaces the
+    survivors' masks, in id order."""
+    ids, parent = tree.ids, tree.parent_index.tolist()
+    keep = [k for k, nid in enumerate(ids) if nid not in removed]
+    parents = []
+    for k in keep:
+        p = parent[k]
+        while p >= 0 and ids[p] in removed:
+            p = parent[p]
+        parents.append(ROOT_ID if p < 0 else ids[p])
+    table = tree.run_table.reordered(keep) if masks is None else RunTable(masks)
+    return OpenTree._of_columns(tree.canvas, [ids[k] for k in keep],
+                                [tree.labels[k] for k in keep], parents, table)
 
 
 def _degrade_masks(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
     removed: set[int] = set()
-    new_mask: dict[int, Mask] = {}
-    for nid, node in tree.nodes.items():
+    new_masks: list[Mask] = []
+    for nid, mask in zip(tree.ids, tree.run_table.decoded_masks()):
         if spec.kind == "mask_erosion":
-            mask = erode(node.mask, spec.keep_ratio)
+            mask = erode(mask, spec.keep_ratio)
         else:
-            mask = dilate(node.mask, 1.0 / spec.keep_ratio)
+            mask = dilate(mask, 1.0 / spec.keep_ratio)
         if mask.area == 0:
             removed.add(nid)
         else:
-            new_mask[nid] = mask
-    return _rebuild_without(tree, removed, new_mask)
+            new_masks.append(mask)
+    return _rebuild_without(tree, removed, new_masks)
 
 
 def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
     rng = derive_rng(spec.seed, tree.canvas.image_id)
-    all_ids = sorted(tree.nodes)
+    all_ids = tree.ids
     k = _corrupt_count(spec.keep_ratio, len(all_ids))
     selected = sample_without_replacement(rng, all_ids, k)
 
-    parent_of = {nid: tree.nodes[nid].parent_id for nid in all_ids}
+    parent_of = dict(zip(all_ids, tree._parent_ids()))
     children_of: dict[int, set[int]] = {nid: set() for nid in [ROOT_ID, *all_ids]}
     for nid, parent in parent_of.items():
         children_of[parent].add(nid)
@@ -130,9 +131,8 @@ def _rewire_parents(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
         children_of[new_parent].add(nid)
         parent_of[nid] = new_parent
 
-    nodes = [InstanceNode(n.node_id, n.label, n.mask, parent_of[n.node_id])
-             for n in tree.nodes.values()]
-    return OpenTree(tree.canvas, nodes)
+    return OpenTree._of_columns(tree.canvas, all_ids, tree.labels,
+                                [parent_of[nid] for nid in all_ids], tree.run_table)
 
 
 def _remove_nodes(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
@@ -141,7 +141,7 @@ def _remove_nodes(tree: OpenTree, spec: DegradeSpec) -> OpenTree:
     elif spec.kind == "leaf_node_missing":
         candidates = sorted(tree.leaves())
     else:
-        candidates = sorted(tree.nodes)
+        candidates = tree.ids
     k = _corrupt_count(spec.keep_ratio, len(candidates))
     if k == 0:
         return tree

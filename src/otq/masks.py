@@ -486,15 +486,21 @@ class RunTable:
         return out
 
     def reordered(self, order: Sequence[int]) -> "RunTable":
-        """The decoded table of masks ``order[0]``, ``order[1]``, ... of this
-        decoded table."""
+        """The table of masks ``order[0]``, ``order[1]``, ... of this table,
+        holding them as ``masks`` when this table holds its masks."""
+        if self.starts is None:
+            masks = self.decoded_masks()
+            return RunTable([masks[k] for k in order])
         order = np.asarray(order, dtype=np.int64)
         counts = self.counts[order]
         owner, k = _spread(counts)
         run = self.first[order][owner] + k
         shift = (owner - order[owner]) * self.size
-        return RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
-                                 self.starts[run] + shift, self.stops[run] + shift, counts)
+        out = RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
+                                self.starts[run] + shift, self.stops[run] + shift, counts)
+        if self.masks is not None:
+            out.masks = [self.masks[k] for k in order.tolist()]
+        return out
 
     def decoded_masks(self) -> list[Mask]:
         """The masks of a decoded table, made on the first call and kept as

@@ -4,11 +4,14 @@ A tree is a set of instance nodes (mask + open-vocabulary label + parent
 reference) over one image canvas, rooted at an artificial root vertex that
 carries no mask or label.  The root is represented by the reserved id
 ``ROOT_ID`` so that depth and ancestor computations have a concrete vertex.
-An ``OpenTree`` holds its nodes as columns in id order (ids, normalized
-labels, parent positions, depths) and their masks as one ``RunTable``;
-``parse_tree`` reads a document's fields into those columns and decodes its
-masks into the table without making an ``InstanceNode`` or ``Mask``, which
-only code that reads ``OpenTree.nodes`` builds.
+Every ``OpenTree`` is its nodes as columns in id order (ids, normalized
+labels, parent positions, depths) and their masks as one ``RunTable``, set
+by one validating constructor.  ``OpenTree(canvas, nodes)`` lays its
+``InstanceNode``s out as those columns; ``parse_tree`` reads a document's
+fields into them and decodes its masks into the table without making an
+``InstanceNode`` or ``Mask``; and ``project_flat``, ``degrade`` and
+``serialize_tree`` read and write columns, never nodes.  Only code that
+reads ``OpenTree.nodes`` builds ``InstanceNode``s.
 
 Wire format, one JSON document per image::
 
@@ -33,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -74,16 +77,17 @@ class InstanceNode:
 class OpenTree:
     """Validated, effectively immutable rooted tree of instance nodes.
 
-    A tree is held as columns over its nodes in id order: ``ids``, the
+    Every tree is columns over its nodes in id order: ``ids``, the
     normalized ``labels``, ``parent_index`` (the position of each node's
     parent, -1 for the root) and ``node_depths`` (edges from the root), plus
-    ``run_table``, the node masks as a ``masks.RunTable``.  Construction
-    checks every structural invariant: unique ids, nonempty labels and
-    masks, parents resolvable, acyclicity.  A parsed tree makes no
-    ``InstanceNode`` or ``Mask``: ``nodes``, the ``InstanceNode`` dict in id
-    order, is built from the columns the first time it is read, and so are
-    ``children``, ``depths`` and ``label_paths``.  ``climb_pairs``, which
-    scoring reads with ``run_table``, is built on first use and kept.
+    ``run_table``, the node masks as a ``masks.RunTable``.  All are set at
+    construction, which checks every structural invariant: unique ids,
+    nonempty labels and masks, parents resolvable, acyclicity.  A tree
+    holds no ``InstanceNode``: ``nodes``, the ``InstanceNode`` dict in id
+    order, is built from the columns and ``run_table``'s masks the first
+    time it is read, and so are ``children`` and ``depths``.
+    ``climb_pairs``, which scoring reads with ``run_table``, is built on
+    first use and kept.
     """
 
     def __init__(self, canvas: ImageCanvas, nodes: Iterable[InstanceNode]) -> None:
@@ -93,34 +97,26 @@ class OpenTree:
                        f"canvas is {canvas.width}x{canvas.height}")
                       for i, (node, m) in enumerate(zip(nodes, masks))
                       if m.width != canvas.width or m.height != canvas.height), None)
-        order = self._set_columns(canvas, [node.node_id for node in nodes],
-                                  [node.label for node in nodes],
-                                  [node.parent_id for node in nodes],
-                                  [m.area for m in masks], fault)
-        by_id: dict[int, InstanceNode] = {}
-        for k, label in zip(order or range(len(nodes)), self.labels):
-            node = nodes[k]
-            if label != node.label:
-                node = InstanceNode(node.node_id, label, node.mask, node.parent_id)
-            by_id[node.node_id] = node
-        self.nodes = by_id
+        # Only a node before the first mask off the canvas can fail ahead of
+        # it, so the table holds the masks before it.
+        self._set_columns(canvas, [node.node_id for node in nodes],
+                          [node.label for node in nodes], [node.parent_id for node in nodes],
+                          RunTable(masks if fault is None else masks[:fault[0]]), fault)
 
     @classmethod
-    def _parsed(cls, canvas: ImageCanvas, ids: list[int], labels: list[str],
-                parents: list[int], table: RunTable) -> "OpenTree":
-        """The tree of a parsed document's node fields, in document order,
-        and the decoded table of its masks in the same order."""
+    def _of_columns(cls, canvas: ImageCanvas, ids: list[int], labels: list[str],
+                    parents: list[int], table: RunTable) -> "OpenTree":
+        """The tree of the nodes' id, label and parent-id columns, in one
+        order, and the table of their masks in the same order."""
         tree = cls.__new__(cls)
-        order = tree._set_columns(canvas, ids, labels, parents, table.areas)
-        tree.run_table = table if order is None else table.reordered(order)
+        tree._set_columns(canvas, ids, labels, parents, table)
         return tree
 
     def _set_columns(self, canvas: ImageCanvas, ids: list[int], labels: list[str],
-                     parents: list[int], areas: Sequence[int],
-                     fault: tuple[int, int, str] | None = None) -> list[int] | None:
-        """Validate the nodes' fields, given in one order, and set the
-        columns; returns the permutation into id order, or None when the
-        fields are in id order already.
+                     parents: list[int], table: RunTable,
+                     fault: tuple[int, int, str] | None = None) -> None:
+        """Validate the nodes' fields and mask table, given in one order, and
+        set the columns and ``run_table`` in id order.
 
         The checks and their messages are those of a loop over the nodes in
         the given order that raises at the first node that fails one, with
@@ -145,8 +141,9 @@ class OpenTree:
         if "" in normal.values():
             i = labels.index("")
             faults.append((i, 2, f"empty label at node {ids[i]}"))
-        if 0 in areas:
-            i = list(areas).index(0)
+        empty = np.flatnonzero(table.areas == 0)
+        if empty.size:
+            i = int(empty[0])
             faults.append((i, 4, f"empty mask at node {ids[i]}"))
         if faults:
             raise ValidationError(min(faults)[2])
@@ -180,21 +177,19 @@ class OpenTree:
         self.canvas, self.ids = canvas, sorted_ids
         self.labels = labels if in_order else [labels[k] for k in order]
         self.parent_index, self.node_depths = parent_index, depth
-        return None if in_order else order
+        self.run_table = table if in_order else table.reordered(order)
+
+    def _parent_ids(self) -> list[int]:
+        """Each node's parent id, ``ROOT_ID`` for the root, in id order."""
+        return [ROOT_ID if p < 0 else self.ids[p] for p in self.parent_index.tolist()]
 
     @cached_property
     def nodes(self) -> dict[int, InstanceNode]:
-        """The ``InstanceNode`` of each id, in id order; a parsed tree makes
-        them, and their masks, from its columns the first time this is
-        read."""
-        parents = [ROOT_ID if p < 0 else self.ids[p] for p in self.parent_index.tolist()]
+        """The ``InstanceNode`` of each id, in id order, made from the
+        columns the first time this is read."""
         return {nid: InstanceNode(nid, label, mask, parent) for nid, label, mask, parent
-                in zip(self.ids, self.labels, self.run_table.decoded_masks(), parents)}
-
-    @cached_property
-    def run_table(self) -> RunTable:
-        """The node masks in id order as a ``masks.RunTable``."""
-        return RunTable([node.mask for node in self.nodes.values()])
+                in zip(self.ids, self.labels, self.run_table.decoded_masks(),
+                       self._parent_ids())}
 
     @cached_property
     def depths(self) -> dict[int, int]:
@@ -206,18 +201,9 @@ class OpenTree:
         """Each node's children, and the root's under ``ROOT_ID``, in id
         order."""
         kids: dict[int, list[int]] = {nid: [] for nid in [ROOT_ID, *self.ids]}
-        for nid, p in zip(self.ids, self.parent_index.tolist()):
-            kids[ROOT_ID if p < 0 else self.ids[p]].append(nid)
+        for nid, parent in zip(self.ids, self._parent_ids()):
+            kids[parent].append(nid)
         return {nid: tuple(c) for nid, c in kids.items()}
-
-    @cached_property
-    def label_paths(self) -> dict[int, tuple[str, ...]]:
-        """Each node's root-to-node label path; the root's is ``()``."""
-        paths: list[tuple[str, ...]] = [()] * len(self.ids)
-        parent = self.parent_index.tolist()
-        for k in np.argsort(self.node_depths, kind="stable").tolist():
-            paths[k] = (paths[parent[k]] if parent[k] >= 0 else ()) + (self.labels[k],)
-        return {ROOT_ID: (), **dict(zip(self.ids, paths))}
 
     def _label_groups(self) -> np.ndarray:
         """Each node's label-path group: nodes share one exactly when their
@@ -285,22 +271,6 @@ class OpenTree:
             return self.depths[node_id]
         except KeyError:
             raise ValidationError(f"unknown node id {node_id}") from None
-
-    def ancestors(self, node_id: int) -> Iterator[int]:
-        """Proper ancestors, innermost first, excluding the artificial root."""
-        cur = self.nodes[node_id].parent_id
-        while cur != ROOT_ID:
-            yield cur
-            cur = self.nodes[cur].parent_id
-
-    def descendants(self, node_id: int) -> set[int]:
-        out: set[int] = set()
-        stack = list(self.children[node_id])
-        while stack:
-            nid = stack.pop()
-            out.add(nid)
-            stack.extend(self.children[nid])
-        return out
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(nid for nid in self.ids if not self.children[nid])
@@ -416,8 +386,8 @@ def parse_tree(document: str | bytes) -> OpenTree:
         raise ValidationError(f"node {ids[exc.index]}: {exc}") from exc
     if schema_error is not None:
         raise schema_error
-    return OpenTree._parsed(canvas, ids, labels,
-                            [ROOT_ID if p is None else p for p in parents], table)
+    return OpenTree._of_columns(canvas, ids, labels,
+                                [ROOT_ID if p is None else p for p in parents], table)
 
 
 def serialize_tree(tree: OpenTree) -> str:
@@ -428,12 +398,13 @@ def serialize_tree(tree: OpenTree) -> str:
         "height": tree.canvas.height,
         "nodes": [
             {
-                "id": node.node_id,
-                "label": node.label,
-                "parent": None if node.parent_id == ROOT_ID else node.parent_id,
-                "rle": node.mask.to_rle(),
+                "id": nid,
+                "label": label,
+                "parent": None if parent == ROOT_ID else parent,
+                "rle": mask.to_rle(),
             }
-            for node in tree.nodes.values()
+            for nid, label, parent, mask in zip(tree.ids, tree.labels, tree._parent_ids(),
+                                                tree.run_table.decoded_masks())
         ],
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -562,6 +533,5 @@ def project_flat(tree: OpenTree) -> OpenTree:
     Masks and labels are untouched; this is how conventional flat
     segmentation references are compared against deep trees.
     """
-    nodes = [InstanceNode(n.node_id, n.label, n.mask, ROOT_ID)
-             for n in tree.nodes.values()]
-    return OpenTree(tree.canvas, nodes)
+    return OpenTree._of_columns(tree.canvas, tree.ids, tree.labels,
+                                [ROOT_ID] * tree.n_nodes, tree.run_table)

@@ -9,6 +9,8 @@ from otq import (
     SimilarityProtocol,
     degrade_tree,
     evaluate_image,
+    parse_tree,
+    project_flat,
     serialize_tree,
     synthetic_tree,
 )
@@ -140,7 +142,8 @@ class TestNodeMissing:
 
 class TestStructuralKindsShareMasks:
     def test_prediction_serializes_with_no_encoding(self, monkeypatch):
-        # The benchmark's predictions: nodes dropped, then parents rewired.
+        # The benchmark's predictions: nodes dropped, then parents rewired;
+        # and the flat projection.
         tree = fixture_tree(3)
         encode, calls = mask_module.rle_encode, []
 
@@ -154,10 +157,19 @@ class TestStructuralKindsShareMasks:
             pred = degrade_tree(pred, DegradeSpec(kind, 0.8, seed=4))
         ref_text = serialize_tree(tree)
         assert len(calls) == tree.n_nodes
-        pred_text = serialize_tree(pred)
+        pred_text, flat_text = serialize_tree(pred), serialize_tree(project_flat(tree))
         assert len(calls) == tree.n_nodes
         assert 0 < pred.n_nodes < tree.n_nodes
-        assert pred_text != ref_text
+        assert pred_text != ref_text != flat_text
+
+    def test_parsed_prediction_scores_as_its_reparse(self):
+        ref = parse_tree(serialize_tree(fixture_tree(3)))
+        for pred in (project_flat(ref),
+                     degrade_tree(ref, DegradeSpec("parent_rewire", 0.5, seed=4)),
+                     degrade_tree(ref, DegradeSpec("random_node_missing", 0.5, seed=4))):
+            again = parse_tree(serialize_tree(pred))
+            assert again == pred
+            assert evaluate_image(pred, ref, STRICT) == evaluate_image(again, ref, STRICT)
 
 
 class TestMaskKinds:

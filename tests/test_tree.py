@@ -247,15 +247,9 @@ class TestStructure:
         with pytest.raises(ValidationError, match="unknown node"):
             chain_tree.depth(99)
 
-    def test_ancestors_and_descendants(self, two_branch_tree):
-        assert list(two_branch_tree.ancestors(2)) == [1]
-        assert two_branch_tree.descendants(1) == {2, 3}
+    def test_leaves_and_internal_ids(self, two_branch_tree):
         assert two_branch_tree.leaves() == (2, 3, 4)
         assert two_branch_tree.internal_ids() == (1,)
-
-    def test_label_paths(self, two_branch_tree):
-        assert two_branch_tree.label_paths[2] == ("a", "b")
-        assert two_branch_tree.label_paths[4] == ("d",)
 
     def test_mask_out_of_canvas_rejected(self):
         with pytest.raises(ValidationError, match="canvas"):
@@ -461,6 +455,42 @@ class TestParsedColumns:
         assert report.tp == 4
         assert "nodes" not in vars(pred) and "nodes" not in vars(ref)
         assert pred.nodes == project_flat(two_branch_tree).nodes
+
+
+class TestKeylessTable:
+    """A tree on a canvas whose run table cannot hold table keys
+    (``RunTable.starts`` is None) is reordered, degraded, scored and
+    serialized from its masks.  Its documents cover 2**62 pixels or more,
+    which parsing refuses."""
+
+    def test_out_of_order_tree_scores_degrades_and_serializes(self):
+        side = 2**31
+        spec = [
+            (3, "b", 1, rect(side, side, 10, 10, 4, 4)),
+            (1, "a", None, rect(side, side, 0, 0, 40, 40)),
+            (5, "c", None, rect(side, side, 2**30, 2**30, 5, 3)),
+            (4, "d", 1, rect(side, side, 20, 20, 6, 6)),
+            (2, "e", 3, rect(side, side, 11, 11, 2, 2)),
+        ]
+        tree = make_tree(spec, side, side)
+        assert tree.run_table.starts is None
+        assert tree.ids == [1, 2, 3, 4, 5]
+        assert [n.parent_id for n in tree.nodes.values()] == [ROOT_ID, 3, 1, 1, ROOT_ID]
+        strict = SimilarityProtocol.strict()
+        assert evaluate_image(tree, tree, strict).tp == 5
+        outs = [project_flat(tree)] + [degrade_tree(tree, DegradeSpec(kind, 0.5, seed=0))
+                                       for kind in ("random_node_missing", "parent_rewire")]
+        assert [out.n_nodes for out in outs] == [5, 2, 5]
+        rles = {nid: mask.to_rle() for nid, _, _, mask in spec}
+        for out in [tree, *outs]:
+            assert all(node.mask == tree.nodes[nid].mask for nid, node in out.nodes.items())
+            assert evaluate_image(out, tree, strict).tp == out.n_nodes
+            assert json.loads(serialize_tree(out))["nodes"] == [
+                {"id": nid, "label": node.label,
+                 "parent": None if node.parent_id == ROOT_ID else node.parent_id,
+                 "rle": rles[nid]} for nid, node in out.nodes.items()]
+        with pytest.raises(ValidationError, match="too large to decode"):
+            parse_tree(serialize_tree(tree))
 
 
 class TestProjectFlat:
