@@ -1,29 +1,32 @@
 """Binary instance masks: RLE codec, overlap geometry, morphology, size bins.
 
 A mask stores its canvas shape, its tight bounding box, its area and its
-pixels in one form, its foreground runs, so its memory scales with the
-object, not with the canvas.  The wire format is uncompressed COCO-style
-RLE: pixels are read in column-major order and encoded as space-separated
-run lengths, with the first run counting zeros (possibly 0).
-``rle_decode_table`` decodes the strings of one document together into a
-``RunTable``, the document's masks as columns (bboxes, areas and all their
-runs end to end), without making a ``Mask``: when all strings are
-canonical text (ASCII digits separated by single spaces) it reads and
-checks their runs in one vectorized pass, and every other document is read
-one string at a time with ``int``, accepting whatever ``int`` accepts.
-``RunTable.decoded_masks`` makes the masks, each holding its bbox, area and
-runs.  ``Mask.to_rle`` keeps the string it encodes, as masks are
-immutable: a tree that shares another's masks, such as a structural
-degradation of it, serializes with no encoding, and ``rle_encode`` stays
-the only encoder.
+pixels in one form, its foreground runs as column-major canvas offsets, so
+its memory scales with the object, not with the canvas.  A canvas has
+fewer than 2**63 pixels, so that every offset fits in int64.  The wire
+format is uncompressed COCO-style RLE: pixels are read in column-major
+order and encoded as space-separated run lengths, with the first run
+counting zeros (possibly 0).  ``rle_decode_table`` decodes the strings of
+one document together into a ``RunTable``, the document's masks as columns
+(bboxes, areas and all their runs end to end), without making a ``Mask``:
+when all strings are canonical text (ASCII digits separated by single
+spaces) it reads and checks their runs in one vectorized pass, and every
+other document is read one string at a time with ``int``, accepting
+whatever ``int`` accepts.  Each run is held once: every mask of a table,
+whether the table made it (``RunTable.decoded_masks``) or it was given to
+``RunTable(masks)``, holds its runs as views of the table's arrays.
+``Mask.to_rle`` keeps the string it encodes, as masks are immutable: a
+tree that shares another's masks, such as a structural degradation of it,
+serializes with no encoding, and ``rle_encode`` stays the only encoder.
 
 Every overlap is counted on runs, the RLE-domain intersection of the COCO
 mask API's ``rleIou``: the pixels of a set of runs below any offset follow
 from their cumulative lengths after one ``np.searchsorted`` (``_below``).
 ``pair_intersections`` counts many pairs of a ``RunTable`` in one
-vectorized pass (``overlapping_ious`` scores the bbox-meeting pairs of two
-tables), and ``intersection_area``, ``iou`` and ``containment`` count one
-pair.  Union and difference combine runs into runs.  Erosion and dilation
+vectorized pass, on join keys that only it builds: each run shifted by
+its mask's position times the canvas size (``overlapping_ious`` scores the
+bbox-meeting pairs of two tables), and ``intersection_area``, ``iou`` and
+``containment`` count one pair.  Union and difference combine runs into runs.  Erosion and dilation
 pack a region's columns straight from the runs into one Python int and
 keep the 3x3 step count whose area is closest to a target; k steps are an
 erosion or dilation by a (2k + 1)-square, the pixels within chessboard
@@ -37,6 +40,7 @@ runs on each read.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import Sequence
 
@@ -219,8 +223,8 @@ def rle_decode_table(rles: Sequence[str], width: int, height: int) -> RunTable:
     run after the first is at least 1, and a string's runs sum to
     width * height.  The ``RleError`` raised is that of the first bad
     string, and its ``index`` attribute is that string's position.  A
-    document whose strings together cover 2**62 pixels or more is refused
-    at index 0, as its pixel offsets would not fit in 64 bits.
+    canvas of 2**63 pixels or more, whose offsets int64 cannot hold, fails
+    every string.
     """
     if not rles:
         return _decoded(height, width, *_NO_RUNS, np.zeros(0, dtype=np.int64))
@@ -234,20 +238,18 @@ def rle_decode_table(rles: Sequence[str], width: int, height: int) -> RunTable:
             except RleError as exc:
                 exc.index = i
                 raise
-        if len(rles) * width * height >= 2**62:
-            exc = RleError(f"canvas {width}x{height} is too large to decode")
-            exc.index = 0
-            raise exc
         counts = [len(r) for r in parsed]
-        runs = np.array([r for rs in parsed for r in rs], dtype=np.int64)
-    # String i covers pixels [i * size, (i + 1) * size) of the concatenation
-    # of all strings, which are the table keys of mask i, and its runs
-    # alternate background and foreground: its foreground runs are its
-    # odd-numbered ones.
+        ends = np.array([e for rs in parsed for e in itertools.accumulate(rs)], dtype=np.int64)
+    else:
+        # String i covers pixels [i * size, (i + 1) * size) of the
+        # concatenation of all strings.
+        ends = np.cumsum(runs)
+        ends -= np.repeat(np.arange(len(rles)) * (width * height), counts)
+    # A string's runs alternate background and foreground: its foreground
+    # runs are its odd-numbered ones.
     lengths = np.array(counts)
     owner, k = _spread(lengths // 2)
     fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
-    ends = np.cumsum(runs)
     return _decoded(height, width, ends[fg - 1], ends[fg], lengths // 2)
 
 
@@ -287,6 +289,8 @@ def _parse_runs(rle: str, width: int, height: int) -> list[int]:
     ``RleError`` of its first fault."""
     if width < 0 or height < 0:
         raise RleError(f"canvas size must not be negative, got {width}x{height}")
+    if width * height >= 2**63:
+        raise RleError(f"canvas {width}x{height} has 2**63 pixels or more")
     tokens = rle.split()
     if not tokens:
         raise RleError("empty RLE string")
@@ -336,25 +340,21 @@ def _rows(height: int, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarra
 def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
              counts: np.ndarray) -> RunTable:
     """The table of masks whose foreground runs, ``counts[i]`` of them for
-    mask i, are concatenated in ``starts`` and ``stops`` as table keys (mask
-    i's canvas offsets plus i canvas sizes).
-
-    Each mask's bbox (``_rows``) and area are reduced over its runs.  Mask
-    i's columns in key order are its canvas columns plus i * width."""
+    mask i, are concatenated in ``starts`` and ``stops``, each mask's bbox
+    (``_rows``) and area reduced over its runs."""
     boxes = np.zeros((counts.size, 4), dtype=np.int64)
     areas = np.zeros(counts.size, dtype=np.int64)
+    edge = np.cumsum(counts) - counts
     if starts.size:
         top, bottom = _rows(height, starts, stops)
-        edge = np.cumsum(counts) - counts
         runs_of = np.flatnonzero(counts)
         first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
-        shift = runs_of * width
         boxes[runs_of, 0] = np.minimum.reduceat(top, first)
         boxes[runs_of, 1] = np.maximum.reduceat(bottom, first)
-        boxes[runs_of, 2] = starts[first] // height - shift
-        boxes[runs_of, 3] = (stops[last] - 1) // height + 1 - shift
+        boxes[runs_of, 2] = starts[first] // height
+        boxes[runs_of, 3] = (stops[last] - 1) // height + 1
         areas[runs_of] = np.add.reduceat(stops - starts, first)
-    return RunTable._columns(height, width, boxes, areas, starts, stops, counts)
+    return RunTable._columns(height, width, boxes, areas, starts, stops, counts, edge)
 
 
 def _require_same_canvas(a: Mask | RunTable, b: Mask | RunTable) -> None:
@@ -391,7 +391,7 @@ def boxes_meet(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
             & (ra[..., 2] < rb[..., 3]) & (rb[..., 2] < ra[..., 3]))
 
 
-# Table keys stay below this, so that no int64 sum of two of them overflows.
+# Join keys stay below this, so that no int64 sum of two of them overflows.
 _KEY_LIMIT = 2**62
 
 
@@ -421,131 +421,127 @@ class RunTable:
     pairs of them at once (``pair_intersections``).
 
     ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.
-    The run table holds the runs of all masks end to end, sorted by
-    ``starts``, mask m's shifted by m canvas sizes (its table keys); its
-    runs are ``first[m]`` on, ``counts[m]`` of them.  ``lead`` and
-    ``before`` (``_prefix``) are computed on first use.  A list whose keys
-    would reach 2**62, which int64 sums of two keys could not hold, has no
-    run table: its ``starts`` and ``stops`` are None.
-
-    A table made from a list of masks (``RunTable(masks)``) keeps them as
-    ``masks``.  A decoded table (``rle_decode_table``) has ``masks`` None
-    until ``decoded_masks`` makes them, each holding its own runs.
+    ``starts`` and ``stops`` hold the masks' runs as canvas offsets: mask m
+    has ``counts[m]`` runs, from ``first[m]`` on.  Every mask of the table
+    (``masks``) holds its runs as views of those arrays.
+    ``RunTable(masks)`` copies the masks' runs end to end and holds the
+    masks remade as views, each keeping the string it has encoded; other
+    tables make their masks when they are first read (``decoded_masks``).
+    A reordered table shares its source's arrays, and masks once made, so
+    its runs may lie in any order and include those of masks it left out; a
+    joined table copies both sources' runs.  Only ``pair_intersections``
+    shifts runs by multiples of the canvas size, into join keys.
     """
 
-    __slots__ = ("masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
-                 "counts", "first", "lead", "before")
+    __slots__ = ("_masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
+                 "counts", "first")
 
     def __init__(self, masks: Sequence[Mask]) -> None:
         _require_one_canvas(masks)
         height, width = (masks[0].height, masks[0].width) if masks else (0, 0)
         counts = np.array([m._runs[0].size for m in masks], dtype=np.int64)
-        starts = stops = None
-        if len(masks) * height * width < _KEY_LIMIT:
-            shift = np.repeat(np.arange(counts.size) * (height * width), counts)
-            starts, stops = (np.concatenate([m._runs[k] for m in masks] or [_NO_RUNS[k]]) + shift
-                             for k in (0, 1))
-        self._set(height, width, _boxes(masks),
-                  np.array([m.area for m in masks], dtype=np.int64), starts, stops, counts)
-        self.masks = list(masks)
+        starts, stops = (np.concatenate([m._runs[k] for m in masks] or [_NO_RUNS[k]])
+                         for k in (0, 1))
+        self._set(height, width, _boxes(masks), np.array([m.area for m in masks], dtype=np.int64),
+                  starts, stops, counts, np.cumsum(counts) - counts)
+        for view, m in zip(self.decoded_masks(), masks):
+            view._rle = m._rle
 
     def _set(self, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
-             starts: np.ndarray | None, stops: np.ndarray | None, counts: np.ndarray) -> None:
-        self.height, self.width, self.size = height, width, height * width
-        self.boxes, self.areas, self.starts, self.stops, self.counts = (
-            boxes, areas, starts, stops, counts)
-        self.first = np.cumsum(counts) - counts
-        self.lead = self.before = None
-
-    @classmethod
-    def _columns(cls, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
-                 starts: np.ndarray, stops: np.ndarray, counts: np.ndarray) -> "RunTable":
-        """The decoded table of the given columns."""
-        t = cls.__new__(cls)
+             starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
+             first: np.ndarray) -> "RunTable":
         starts.setflags(write=False)
         stops.setflags(write=False)
-        t._set(height, width, boxes, areas, starts, stops, counts)
-        t.masks = None
-        return t
+        self.height, self.width, self.size = height, width, height * width
+        self.boxes, self.areas, self.starts, self.stops, self.counts, self.first = (
+            boxes, areas, starts, stops, counts, first)
+        self._masks = None
+        return self
+
+    @classmethod
+    def _columns(cls, *columns) -> "RunTable":
+        """The table of the given columns, as ``_set`` takes them, with no
+        masks made yet."""
+        return cls.__new__(cls)._set(*columns)
+
+    @property
+    def masks(self) -> list[Mask]:
+        """The table's masks, as ``decoded_masks`` makes them."""
+        return self.decoded_masks()
 
     def joined(self, other: "RunTable") -> "RunTable":
-        """The table of this list's masks followed by ``other``'s: the two
-        run tables end to end, ``other``'s keys shifted past this one's."""
-        n, canvas = self.areas.size, self if self.size else other
-        if (n + other.areas.size) * canvas.size >= _KEY_LIMIT:
-            return RunTable(self.decoded_masks() + other.decoded_masks())
-        shift = n * canvas.size
-        out = RunTable._columns(canvas.height, canvas.width,
-                                np.concatenate((self.boxes, other.boxes)),
-                                np.concatenate((self.areas, other.areas)),
-                                np.concatenate((self.starts, other.starts + shift)),
-                                np.concatenate((self.stops, other.stops + shift)),
-                                np.concatenate((self.counts, other.counts)))
-        if self.masks is not None and other.masks is not None:
-            out.masks = self.masks + other.masks
-        return out
+        """The table of this list's masks followed by ``other``'s, both
+        tables' runs copied end to end."""
+        canvas = self if self.size else other
+        return RunTable._columns(canvas.height, canvas.width,
+                                 np.concatenate((self.boxes, other.boxes)),
+                                 np.concatenate((self.areas, other.areas)),
+                                 np.concatenate((self.starts, other.starts)),
+                                 np.concatenate((self.stops, other.stops)),
+                                 np.concatenate((self.counts, other.counts)),
+                                 np.concatenate((self.first, other.first + self.starts.size)))
 
     def reordered(self, order: Sequence[int]) -> "RunTable":
         """The table of masks ``order[0]``, ``order[1]``, ... of this table,
-        holding them as ``masks`` when this table holds its masks."""
-        if self.starts is None:
-            masks = self.decoded_masks()
-            return RunTable([masks[k] for k in order])
+        sharing its run arrays, and its masks if they are made."""
         order = np.asarray(order, dtype=np.int64)
-        counts = self.counts[order]
-        owner, k = _spread(counts)
-        run = self.first[order][owner] + k
-        shift = (owner - order[owner]) * self.size
         out = RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
-                                self.starts[run] + shift, self.stops[run] + shift, counts)
-        if self.masks is not None:
-            out.masks = [self.masks[k] for k in order.tolist()]
+                                self.starts, self.stops, self.counts[order], self.first[order])
+        if self._masks is not None:
+            out._masks = [self._masks[k] for k in order.tolist()]
         return out
 
     def decoded_masks(self) -> list[Mask]:
-        """The masks of a decoded table, made on the first call and kept as
-        ``masks``: each holds its bbox, area and runs, views into one array
-        of the table's runs less their shifts."""
-        if self.masks is None:
-            h, w = self.height, self.width
-            shift = np.repeat(np.arange(self.counts.size) * self.size, self.counts)
-            starts, stops = self.starts - shift, self.stops - shift
-            starts.setflags(write=False)
-            stops.setflags(write=False)
+        """The table's masks, made on the first call and kept: each holds
+        its bbox, area and runs, views of the table's arrays."""
+        if self._masks is None:
+            h, w, starts, stops = self.height, self.width, self.starts, self.stops
             # Masks are immutable, so the empty ones can be one object.
             empty = Mask._of(h, w, None, 0, _NO_RUNS)
-            self.masks = [
-                Mask._of(h, w, box, area, (starts[a:b], stops[a:b])) if area else empty
-                for box, area, a, b in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
-                                           self.first.tolist(),
-                                           (self.first + self.counts).tolist())]
-        return self.masks
+            self._masks = [
+                Mask._of(h, w, box, area, (starts[a:a + c], stops[a:a + c])) if area else empty
+                for box, area, a, c in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
+                                           self.first.tolist(), self.counts.tolist())]
+        return self._masks
+
+
+def _join_keys(t: RunTable) -> tuple[np.ndarray, ...]:
+    """``starts`` and ``stops`` of the table's runs in mask order, mask m's
+    shifted by m canvas sizes so that they form one sorted list, with their
+    ``lead`` and ``before`` (``_prefix``) and the position of each mask's
+    first run among them."""
+    first = np.cumsum(t.counts) - t.counts
+    run = np.repeat(t.first - first, t.counts) + np.arange(first[-1] + t.counts[-1])
+    shift = np.repeat(np.arange(t.counts.size) * t.size, t.counts)
+    starts, stops = t.starts[run] + shift, t.stops[run] + shift
+    return starts, stops, *_prefix(starts, stops), first
 
 
 def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Pixel counts of masks ``i[k]`` AND ``j[k]`` of ``t`` for every k, as
     exact int64; the paired masks must be nonempty.
 
-    The pairs are joined on the run table: for each pair, the runs of the
-    mask with fewer runs that meet the other mask's span are moved into the
-    other mask's canvas of the table; each adds the table pixels below its
-    stop less those below its start (``_below``), and ``np.add.reduceat``
-    sums them per pair.  This is the run-length intersection of the COCO
-    mask API's ``rleIou``, done for all pairs of an image at once.  A list
-    with no run table is intersected one pair at a time
+    The pairs are joined on the table's keys (``_join_keys``), built for
+    each call: for each pair, the runs of the mask with fewer runs that meet
+    the other mask's span are moved into the other mask's canvas of the
+    keys; each adds the pixels below its stop less those below its start
+    (``_below``), and ``np.add.reduceat`` sums them per pair.
+    This is the run-length intersection of the COCO mask API's ``rleIou``,
+    done for all pairs of an image at once.  Keys of n masks reach n canvas
+    sizes, so when that is 2**62 or more, which an int64 sum of two keys
+    could not hold, the pairs are intersected one at a time
     (``intersection_area``).
     """
-    if t.starts is None:
+    if i.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if t.areas.size * t.size >= _KEY_LIMIT:
         masks = t.decoded_masks()
         return np.array([_intersection(masks[x], masks[y])
                          for x, y in zip(i.tolist(), j.tolist())], dtype=np.int64)
-    if i.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if t.before is None:
-        t.lead, t.before = _prefix(t.starts, t.stops)
-    starts, stops, counts, first = t.starts, t.stops, t.counts, t.first
+    starts, stops, lead, before, first = _join_keys(t)
+    counts = t.counts
     # q is each pair's mask with fewer runs and o the other; d moves q's
-    # runs into o's canvas of the table.  Of q's runs, those that meet o's
+    # runs into o's canvas of the keys.  Of q's runs, those that meet o's
     # span, from its first start to its last stop, are looked up.
     q = np.where(counts[i] > counts[j], j, i)
     o = i + j - q
@@ -556,7 +552,7 @@ def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     offset = np.cumsum(n) - n
     run = np.arange(offset[-1] + n[-1]) + np.repeat(lo - offset, n)
     shift = np.repeat(d, n)
-    covered = _below(starts, t.lead, t.before,
+    covered = _below(starts, lead, before,
                      np.concatenate((starts[run] + shift, stops[run] + shift)))
     out = np.zeros(i.size, dtype=np.int64)
     met = np.flatnonzero(n)

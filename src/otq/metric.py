@@ -281,8 +281,9 @@ def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
     A side is an ``OpenTree`` or a ``corpus_index`` document, parsed where it
     is scored; its parse errors are prefixed with its ``path:lineno``, and
     errors scoring the pair with the image id and both sides.  With
-    ``jobs <= 1`` pairs are consumed lazily; otherwise a process pool scores
-    them.  Records are reduced in sorted image_id order, so the report is
+    ``jobs <= 1`` pairs are consumed lazily; otherwise a process pool of
+    ``jobs`` workers, or one per pair if there are fewer pairs, scores them.
+    Records are reduced in sorted image_id order, so the report is
     identical at any ``jobs``.  Repeated image ids raise ``CorpusError``;
     an unknown ``aggregate`` raises ``ValueError`` before any pair is scored.
     """
@@ -293,8 +294,10 @@ def evaluate_corpus(pairs: Iterable[tuple[TreeSource, TreeSource]],
     if jobs > 1 and len(pairs) > 1:
         # Imported here: a serial run never loads the process pool.
         from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(pairs) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at once, so it gets no idle ones.
+        workers = min(jobs, len(pairs))
+        chunk = max(1, len(pairs) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scored = list(pool.map(score, pairs, chunksize=chunk))
     else:
         scored = map(score, pairs)

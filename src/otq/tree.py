@@ -127,6 +127,9 @@ class OpenTree:
         if canvas.width < 1 or canvas.height < 1:
             raise ValidationError(
                 f"canvas must be at least 1x1, got {canvas.width}x{canvas.height}")
+        if canvas.width * canvas.height >= 2**63:  # pixel offsets are int64
+            raise ValidationError(
+                f"canvas {canvas.width}x{canvas.height} has 2**63 pixels or more")
         normal = {label: normalize_label(label) for label in set(labels)}
         labels = [normal[label] for label in labels]
         known = set(ids)

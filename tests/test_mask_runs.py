@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otq import Mask, dilate, erode, intersection_area, iou, match_trees, rle_decode, size_bin
-from otq.masks import RunTable, boxes_meet, pair_intersections, pair_ious, rle_decode_table
+from otq.masks import (RunTable, _join_keys, boxes_meet, pair_intersections, pair_ious,
+                       rle_decode_table)
 
 from conftest import make_tree
 from oracles import canvas_pixels, dense_rle_encode
@@ -118,31 +119,52 @@ class TestPairIntersections:
     @pytest.mark.parametrize("decode_all", [False, True])
     def test_run_that_ends_at_the_canvas_end(self, decode_all):
         # Mask 0's last run ends at the canvas's last pixel: its stop is the
-        # key at which the full mask 1's one run starts.
+        # join key at which the full mask 1's one run starts.
         width, height = 4, 3
         table = RunTable(_decode_last([Mask.from_rect(width, height, 1, 2, 2, 2),
                                        Mask.full(width, height),
                                        Mask.from_rect(width, height, 2, 3, 1, 1)], decode_all))
         assert pair_intersections(table, np.array([0, 1, 2, 0]),
                                   np.array([1, 0, 1, 2])).tolist() == [4, 4, 1, 1]
-        assert table.stops[1] == width * height == table.starts[2]
+        starts, stops = _join_keys(table)[:2]
+        assert stops[1] == width * height == starts[2]
         _check_join(table)
 
     def test_lists_too_large_for_one_table_are_intersected_pair_by_pair(self):
         # Two masks decoded one at a time on a 2**31 x 2**30 canvas: their
-        # table keys would reach 2**62, so the list has no run table and the
-        # pairs are intersected one at a time on their runs.
+        # join keys would reach 2**62, so the pairs are intersected one at a
+        # time on their runs.
         width, height = 2**31, 2**30
         a, b = (rle_decode(Mask.from_rect(width, height, row, row, n, n).to_rle(), width, height)
                 for row, n in ((5, 3), (6, 4)))
         table = RunTable([a, b])
         assert pair_intersections(table, np.array([0, 1]), np.array([1, 1])).tolist() == [4, 16]
-        assert table.starts is None
         joined = RunTable([a]).joined(RunTable([b]))
         assert pair_intersections(joined, np.array([0]), np.array([1])).tolist() == [4]
-        assert joined.starts is None
         tree = make_tree([(1, "a", None, a), (2, "b", 1, b)], width=width, height=height)
         assert [(p, r) for p, r, _ in match_trees(tree, tree).tp] == [(1, 1), (2, 2)]
+
+
+class TestMasksViewTheirTable:
+    """Each run is held once: every mask of a table holds its runs as views
+    of the table's arrays."""
+
+    def test_masks_share_memory_with_their_table(self):
+        width, height = 6, 5
+        masks = [Mask.from_rect(width, height, 1, 2, 3, 2), Mask(np.eye(height, width, dtype=bool)),
+                 Mask.full(width, height)]
+        rles = [m.to_rle() for m in masks]
+        for table in (rle_decode_table(rles, width, height), RunTable(masks)):
+            for t in (table, table.reordered([2, 0, 1]), table.reordered([1]),
+                      table.joined(table)):
+                views = t.decoded_masks()
+                assert len(views) == t.areas.size
+                for view in views:
+                    assert np.shares_memory(view._runs[0], t.starts)
+                    assert np.shares_memory(view._runs[1], t.stops)
+        # The remade masks keep the strings the given ones encoded.
+        assert RunTable(masks).masks == masks
+        assert [m._rle for m in RunTable(masks).masks] == rles
 
 
 class TestLazyWindows:

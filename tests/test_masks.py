@@ -98,10 +98,12 @@ class TestRle:
             rle_decode("0 6", -2, -3)
 
     def test_rejects_canvas_too_large_to_index(self):
-        # Valid runs, but pixel offsets of 2**62 and more would not fit in
-        # the decoder's 64-bit arithmetic.
-        with pytest.raises(RleError, match="canvas 2147483648x2147483648 is too large"):
-            rle_decode(f"0 1 {2**62 - 1}", 2**31, 2**31)
+        # A canvas of 2**62 pixels decodes; one of 2**63 has offsets that
+        # int64 cannot hold, although its runs are valid.
+        rle = f"0 1 {2**62 - 1}"
+        assert rle_decode(rle, 2**31, 2**31).to_rle() == rle
+        with pytest.raises(RleError, match=r"canvas 4294967296x2147483648 has 2\*\*63 pixels"):
+            rle_decode(f"0 1 {2**63 - 1}", 2**32, 2**31)
 
     def test_rejects_garbage(self):
         with pytest.raises(RleError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from math import comb
 
@@ -611,6 +612,31 @@ class TestEvaluateCorpus:
         seq = evaluate_corpus_files(pred_path, ref_path, STRICT, jobs=1)
         par = evaluate_corpus_files(pred_path, ref_path, STRICT, jobs=4)
         assert report_to_json(seq) == report_to_json(par)
+
+    def test_pool_starts_no_more_workers_than_pairs(self, monkeypatch):
+        # A fake pool records its size and scores serially, so no worker
+        # starts at any ``jobs``.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pairs = [(t, t) for t in synthetic_corpus(3, seed=3)]
+        serial = report_to_json(evaluate_corpus(pairs, STRICT))
+        for jobs in (50, 2):
+            assert report_to_json(evaluate_corpus(pairs, STRICT, jobs=jobs)) == serial
+        assert sizes == [3, 2]
 
     def test_corpus_files_unpaired_ids_rejected(self, tmp_path):
         trees = list(synthetic_corpus(3, seed=22))

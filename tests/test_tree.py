@@ -256,6 +256,20 @@ class TestStructure:
             make_tree([(1, "a", None, rect(32, 32, 0, 0, 4, 4))],
                       width=16, height=16)
 
+    def test_canvas_of_2_63_pixels_rejected(self):
+        # Its pixel offsets would not fit in int64, so no tree, built or
+        # parsed, may have it.
+        width, height = 2**32, 2**31
+        canvas = ImageCanvas("huge", width, height)
+        node = InstanceNode(1, "a", rect(width, height, 0, 0, 2, 2), ROOT_ID)
+        document = json.dumps({"image_id": "huge", "width": width, "height": height,
+                               "nodes": []})
+        for make in (lambda: OpenTree(canvas, [node]), lambda: OpenTree(canvas, []),
+                     lambda: parse_tree(document)):
+            with pytest.raises(ValidationError,
+                               match=r"canvas 4294967296x2147483648 has 2\*\*63 pixels"):
+                make()
+
 
 class TestCorpusIo:
     def test_write_then_iter(self, tmp_path):
@@ -458,10 +472,9 @@ class TestParsedColumns:
 
 
 class TestKeylessTable:
-    """A tree on a canvas whose run table cannot hold table keys
-    (``RunTable.starts`` is None) is reordered, degraded, scored and
-    serialized from its masks.  Its documents cover 2**62 pixels or more,
-    which parsing refuses."""
+    """A tree on a canvas so large that its masks' join keys would reach
+    2**62 is reordered, degraded, scored pair by pair, serialized and parsed
+    back."""
 
     def test_out_of_order_tree_scores_degrades_and_serializes(self):
         side = 2**31
@@ -473,7 +486,6 @@ class TestKeylessTable:
             (2, "e", 3, rect(side, side, 11, 11, 2, 2)),
         ]
         tree = make_tree(spec, side, side)
-        assert tree.run_table.starts is None
         assert tree.ids == [1, 2, 3, 4, 5]
         assert [n.parent_id for n in tree.nodes.values()] == [ROOT_ID, 3, 1, 1, ROOT_ID]
         strict = SimilarityProtocol.strict()
@@ -489,8 +501,7 @@ class TestKeylessTable:
                 {"id": nid, "label": node.label,
                  "parent": None if node.parent_id == ROOT_ID else node.parent_id,
                  "rle": rles[nid]} for nid, node in out.nodes.items()]
-        with pytest.raises(ValidationError, match="too large to decode"):
-            parse_tree(serialize_tree(tree))
+            assert parse_tree(serialize_tree(out)) == out
 
 
 class TestProjectFlat:
