@@ -6,18 +6,17 @@ its memory scales with the object, not with the canvas.  A canvas has
 fewer than 2**63 pixels, so that every offset fits in int64.  The wire
 format is uncompressed COCO-style RLE: pixels are read in column-major
 order and encoded as space-separated run lengths, with the first run
-counting zeros (possibly 0).  ``rle_decode_table`` decodes the strings of
-one document together into a ``RunTable``, the document's masks as columns
-(bboxes, areas and all their runs end to end), without making a ``Mask``:
-when all strings are canonical text (ASCII digits separated by single
-spaces) it reads and checks their runs in one vectorized pass, and every
-other document is read one string at a time with ``int``, accepting
-whatever ``int`` accepts.  Each run is held once: every mask of a table,
-whether the table made it (``RunTable.decoded_masks``) or it was given to
-``RunTable(masks)``, holds its runs as views of the table's arrays.
-``Mask.to_rle`` keeps the string it encodes, as masks are immutable: a
-tree that shares another's masks, such as a structural degradation of it,
-serializes with no encoding, and ``rle_encode`` stays the only encoder.
+counting zeros (possibly 0).  A ``RunTable`` is one list of masks as
+columns (bboxes, areas and all their runs end to end, in mask order), and
+every mask of a table holds its runs sliced from the table's arrays.  The
+codec works on tables: ``rle_decode_table`` decodes the strings of one
+document together into a table without making a ``Mask`` (when all strings
+are canonical text, ASCII digits separated by single spaces, it reads and
+checks their runs in one vectorized pass, and every other document is read
+one string at a time with ``int``, accepting whatever ``int`` accepts), and
+``rle_encode_table`` encodes the masks of a table in vectorized passes over
+groups of a bounded number of runs.  ``rle_decode`` and ``rle_encode`` are
+their one-mask cases.
 
 Every overlap is counted on runs, the RLE-domain intersection of the COCO
 mask API's ``rleIou``: the pixels of a set of runs below any offset follow
@@ -32,9 +31,7 @@ keep the 3x3 step count whose area is closest to a target; k steps are an
 erosion or dilation by a (2k + 1)-square, the pixels within chessboard
 distance k (Rosenfeld and Pfaltz, 1966, 1968), and the count is found by
 bisection, each jump an AND or OR of the int shifted by bits and by
-columns.  The kept step's bits go straight back to runs.  A mask's
-``window``, its pixels inside its bbox as an array, is computed from the
-runs on each read.
+columns.  The kept step's bits go straight back to runs.
 """
 
 from __future__ import annotations
@@ -57,10 +54,9 @@ Box = tuple[int, int, int, int]
 # The (starts, stops) of a mask's foreground runs.
 Runs = tuple[np.ndarray, np.ndarray]
 
-# The window and the runs of every empty mask.
-_NO_PIXELS = np.zeros((0, 0), dtype=bool)
+# The runs of every empty mask.
 _NO_RUNS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-for _empty in (_NO_PIXELS, *_NO_RUNS):
+for _empty in _NO_RUNS:
     _empty.setflags(write=False)
 
 
@@ -80,14 +76,12 @@ class Mask:
     column-major canvas offsets of its foreground runs, as two read-only
     int64 arrays.  The runs are maximal, so a run that ends at the canvas's
     bottom row and resumes at the top of the next column is one run, and
-    equal pixels are equal runs.  ``window``, the pixels inside ``bbox`` as
-    a read-only C-contiguous array (shape (0, 0) when empty), is computed
-    from the runs on each read.  ``to_rle`` encodes a mask once and keeps
-    the string.  A mask pickles as its runs.  Do not mutate a mask after
-    construction.
+    equal pixels are equal runs.  A mask holds no other form of its pixels:
+    ``to_rle`` encodes it on each call.  A mask pickles as its runs.  Do
+    not mutate a mask after construction.
     """
 
-    __slots__ = ("height", "width", "bbox", "area", "_runs", "_rle")
+    __slots__ = ("height", "width", "bbox", "area", "_runs")
 
     def __init__(self, pixels: np.ndarray) -> None:
         """Mask of a full-canvas (height, width) boolean array."""
@@ -108,26 +102,15 @@ class Mask:
         """Mask of read-only maximal runs whose bbox and area are known."""
         mask = cls.__new__(cls)
         mask.height, mask.width, mask.bbox, mask.area = height, width, bbox, area
-        mask._runs, mask._rle = runs, None
+        mask._runs = runs
         return mask
 
     def __reduce__(self):
         return _from_runs, (self.height, self.width, *self._runs)
 
-    @property
-    def window(self) -> np.ndarray:
-        """The pixels inside ``bbox``, computed from the runs."""
-        if self.bbox is None:
-            return _NO_PIXELS
-        window = np.ascontiguousarray(_runs_window(self).T)
-        window.setflags(write=False)
-        return window
-
     def to_rle(self) -> str:
-        """The mask's ``rle_encode`` string, encoded on the first call."""
-        if self._rle is None:
-            self._rle = rle_encode(self)
-        return self._rle
+        """The mask's ``rle_encode`` string."""
+        return rle_encode(self)
 
     @classmethod
     def from_rect(cls, width: int, height: int, row: int, col: int,
@@ -171,12 +154,12 @@ class Mask:
 
 
 def _runs_window(m: Mask) -> np.ndarray:
-    """The window of a nonempty mask, transposed (row j of the C-contiguous
-    boolean array is column j of the bbox), filled from its runs by a +1/-1
-    difference array over its bbox in column-major order and a cumulative
-    sum.  A run crosses a column only when the bbox spans the canvas height,
-    so a run's bbox offsets are its canvas offsets less one shift taken at
-    its start."""
+    """The pixels of a nonempty mask inside its bbox, transposed (row j of
+    the C-contiguous boolean array is column j of the bbox), filled from its
+    runs by a +1/-1 difference array over its bbox in column-major order and
+    a cumulative sum.  A run crosses a column only when the bbox spans the
+    canvas height, so a run's bbox offsets are its canvas offsets less one
+    shift taken at its start."""
     starts, stops = m._runs
     r0, r1, c0, c1 = m.bbox
     h = r1 - r0
@@ -189,15 +172,47 @@ def _runs_window(m: Mask) -> np.ndarray:
 
 
 def rle_encode(mask: Mask) -> str:
-    """Encode a mask as canonical uncompressed RLE over its canvas."""
-    size = mask.height * mask.width
-    starts, stops = mask._runs
-    bounds = np.empty(2 * starts.size + 2, dtype=np.int64)
-    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, stops, size
-    runs = (bounds[1:] - bounds[:-1]).tolist()
-    if runs[-1] == 0 and len(runs) > 1:
-        runs.pop()
-    return " ".join(map(str, runs))
+    """Encode a mask as canonical uncompressed RLE over its canvas: the
+    one-mask case of ``rle_encode_table``."""
+    return rle_encode_table(RunTable([mask]))[0]
+
+
+def rle_encode_table(t: RunTable) -> list[str]:
+    """The canonical uncompressed RLE string of every mask of a table, in
+    order.  The masks are encoded in groups, each in one vectorized pass
+    (``_encoded``): a group is the masks whose first runs lie in one block
+    of 4096 of the table's runs, which bounds the pass's temporaries."""
+    first = np.cumsum(t.counts) - t.counts
+    cut = np.flatnonzero(np.diff(first // 4096, prepend=-1)).tolist() + [t.counts.size]
+    edge = first.tolist() + [t.starts.size]
+    return [rle for a, b in zip(cut, cut[1:]) for rle in _encoded(
+        t.size, t.starts[edge[a]:edge[b]], t.stops[edge[a]:edge[b]], t.counts[a:b])]
+
+
+def _encoded(size: int, starts: np.ndarray, stops: np.ndarray, counts: np.ndarray) -> list[str]:
+    """The RLE strings of one or more masks on a canvas of ``size`` pixels,
+    whose runs, ``counts[i]`` of them for mask i, lie end to end in
+    ``starts`` and ``stops``.
+
+    Mask i's tokens are the gap before each of its runs and the run's
+    length, then the pixels after its last run, which are left out when
+    they are 0 unless they are its only token.  All tokens are written by
+    one ``%``-format whose template ends each mask's tokens with a
+    newline."""
+    ends = np.cumsum(counts)
+    ran = np.flatnonzero(counts)
+    first = (ends - counts)[ran]
+    # Each run's gap from the stop before it, from 0 for a mask's first run,
+    # and its length.
+    tokens = np.diff(np.column_stack((starts, stops)).ravel(), prepend=0)
+    tokens[2 * first] = starts[first]
+    tail = np.full(counts.size, size, dtype=np.int64)
+    tail[ran] -= stops[ends[ran] - 1]
+    kept = (tail > 0) | (counts == 0)
+    tokens = np.insert(tokens, 2 * ends[kept], tail[kept])
+    template = "\n".join(["%d" + " %d" * (2 * c - (not k))
+                          for c, k in zip(counts.tolist(), kept.tolist())])
+    return (template % tuple(tokens.tolist())).split("\n")
 
 
 def rle_decode(rle: str, width: int, height: int) -> Mask:
@@ -241,16 +256,16 @@ def rle_decode_table(rles: Sequence[str], width: int, height: int) -> RunTable:
         counts = [len(r) for r in parsed]
         ends = np.array([e for rs in parsed for e in itertools.accumulate(rs)], dtype=np.int64)
     else:
-        # String i covers pixels [i * size, (i + 1) * size) of the
-        # concatenation of all strings.
         ends = np.cumsum(runs)
-        ends -= np.repeat(np.arange(len(rles)) * (width * height), counts)
     # A string's runs alternate background and foreground: its foreground
     # runs are its odd-numbered ones.
     lengths = np.array(counts)
     owner, k = _spread(lengths // 2)
     fg = (np.cumsum(lengths) - lengths)[owner] + 2 * k + 1
-    return _decoded(height, width, ends[fg - 1], ends[fg], lengths // 2)
+    # Canonical strings are summed as one: string i covers pixels
+    # [i * size, (i + 1) * size) of their concatenation.
+    shift = 0 if runs is None else owner * (width * height)
+    return _decoded(height, width, ends[fg - 1] - shift, ends[fg] - shift, lengths // 2)
 
 
 def _canonical_runs(rles: Sequence[str], counts: list[int], width: int,
@@ -344,17 +359,16 @@ def _decoded(height: int, width: int, starts: np.ndarray, stops: np.ndarray,
     (``_rows``) and area reduced over its runs."""
     boxes = np.zeros((counts.size, 4), dtype=np.int64)
     areas = np.zeros(counts.size, dtype=np.int64)
-    edge = np.cumsum(counts) - counts
     if starts.size:
         top, bottom = _rows(height, starts, stops)
         runs_of = np.flatnonzero(counts)
-        first, last = edge[runs_of], edge[runs_of] + counts[runs_of] - 1
+        first = (np.cumsum(counts) - counts)[runs_of]
         boxes[runs_of, 0] = np.minimum.reduceat(top, first)
         boxes[runs_of, 1] = np.maximum.reduceat(bottom, first)
         boxes[runs_of, 2] = starts[first] // height
-        boxes[runs_of, 3] = (stops[last] - 1) // height + 1
+        boxes[runs_of, 3] = (stops[first + counts[runs_of] - 1] - 1) // height + 1
         areas[runs_of] = np.add.reduceat(stops - starts, first)
-    return RunTable._columns(height, width, boxes, areas, starts, stops, counts, edge)
+    return RunTable._columns(height, width, boxes, areas, starts, stops, counts)
 
 
 def _require_same_canvas(a: Mask | RunTable, b: Mask | RunTable) -> None:
@@ -418,43 +432,38 @@ def _below(starts: np.ndarray, lead: np.ndarray, before: np.ndarray,
 
 class RunTable:
     """The masks of one list on one canvas as columns, kept for scoring many
-    pairs of them at once (``pair_intersections``).
+    pairs of them at once (``pair_intersections``) and for encoding them
+    (``rle_encode_table``).
 
     ``boxes`` and ``areas`` are the masks' bboxes (as ``_boxes``) and areas.
-    ``starts`` and ``stops`` hold the masks' runs as canvas offsets: mask m
-    has ``counts[m]`` runs, from ``first[m]`` on.  Every mask of the table
-    (``masks``) holds its runs as views of those arrays.
-    ``RunTable(masks)`` copies the masks' runs end to end and holds the
-    masks remade as views, each keeping the string it has encoded; other
-    tables make their masks when they are first read (``decoded_masks``).
-    A reordered table shares its source's arrays, and masks once made, so
-    its runs may lie in any order and include those of masks it left out; a
-    joined table copies both sources' runs.  Only ``pair_intersections``
-    shifts runs by multiples of the canvas size, into join keys.
+    ``starts`` and ``stops`` hold the masks' runs as canvas offsets in mask
+    order: mask m's ``counts[m]`` runs follow those of masks 0 to m - 1, and
+    the table holds no other run.  Every table makes its masks when they
+    are first read (``decoded_masks``), each holding its runs sliced from
+    those arrays: ``RunTable(masks)`` copies the given masks' runs end to
+    end, a reordered table gathers its masks' runs, and a joined table
+    copies both sources' runs.  Only ``pair_intersections`` shifts runs by
+    multiples of the canvas size, into join keys.
     """
 
     __slots__ = ("_masks", "height", "width", "size", "boxes", "areas", "starts", "stops",
-                 "counts", "first")
+                 "counts")
 
     def __init__(self, masks: Sequence[Mask]) -> None:
         _require_one_canvas(masks)
         height, width = (masks[0].height, masks[0].width) if masks else (0, 0)
-        counts = np.array([m._runs[0].size for m in masks], dtype=np.int64)
         starts, stops = (np.concatenate([m._runs[k] for m in masks] or [_NO_RUNS[k]])
                          for k in (0, 1))
         self._set(height, width, _boxes(masks), np.array([m.area for m in masks], dtype=np.int64),
-                  starts, stops, counts, np.cumsum(counts) - counts)
-        for view, m in zip(self.decoded_masks(), masks):
-            view._rle = m._rle
+                  starts, stops, np.array([m._runs[0].size for m in masks], dtype=np.int64))
 
     def _set(self, height: int, width: int, boxes: np.ndarray, areas: np.ndarray,
-             starts: np.ndarray, stops: np.ndarray, counts: np.ndarray,
-             first: np.ndarray) -> "RunTable":
+             starts: np.ndarray, stops: np.ndarray, counts: np.ndarray) -> "RunTable":
         starts.setflags(write=False)
         stops.setflags(write=False)
         self.height, self.width, self.size = height, width, height * width
-        self.boxes, self.areas, self.starts, self.stops, self.counts, self.first = (
-            boxes, areas, starts, stops, counts, first)
+        self.boxes, self.areas, self.starts, self.stops, self.counts = (
+            boxes, areas, starts, stops, counts)
         self._masks = None
         return self
 
@@ -473,48 +482,43 @@ class RunTable:
         """The table of this list's masks followed by ``other``'s, both
         tables' runs copied end to end."""
         canvas = self if self.size else other
-        return RunTable._columns(canvas.height, canvas.width,
-                                 np.concatenate((self.boxes, other.boxes)),
-                                 np.concatenate((self.areas, other.areas)),
-                                 np.concatenate((self.starts, other.starts)),
-                                 np.concatenate((self.stops, other.stops)),
-                                 np.concatenate((self.counts, other.counts)),
-                                 np.concatenate((self.first, other.first + self.starts.size)))
+        return RunTable._columns(canvas.height, canvas.width, *(
+            np.concatenate((getattr(self, name), getattr(other, name)))
+            for name in ("boxes", "areas", "starts", "stops", "counts")))
 
     def reordered(self, order: Sequence[int]) -> "RunTable":
         """The table of masks ``order[0]``, ``order[1]``, ... of this table,
-        sharing its run arrays, and its masks if they are made."""
+        their runs gathered in that order."""
         order = np.asarray(order, dtype=np.int64)
-        out = RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
-                                self.starts, self.stops, self.counts[order], self.first[order])
-        if self._masks is not None:
-            out._masks = [self._masks[k] for k in order.tolist()]
-        return out
+        counts = self.counts[order]
+        owner, k = _spread(counts)
+        run = (np.cumsum(self.counts) - self.counts)[order][owner] + k
+        return RunTable._columns(self.height, self.width, self.boxes[order], self.areas[order],
+                                 self.starts[run], self.stops[run], counts)
 
     def decoded_masks(self) -> list[Mask]:
         """The table's masks, made on the first call and kept: each holds
-        its bbox, area and runs, views of the table's arrays."""
+        its bbox, area and runs, slices of the table's arrays."""
         if self._masks is None:
             h, w, starts, stops = self.height, self.width, self.starts, self.stops
             # Masks are immutable, so the empty ones can be one object.
             empty = Mask._of(h, w, None, 0, _NO_RUNS)
             self._masks = [
-                Mask._of(h, w, box, area, (starts[a:a + c], stops[a:a + c])) if area else empty
-                for box, area, a, c in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
-                                           self.first.tolist(), self.counts.tolist())]
+                Mask._of(h, w, box, area, (starts[e - c:e], stops[e - c:e])) if area else empty
+                for box, area, e, c in zip(zip(*self.boxes.T.tolist()), self.areas.tolist(),
+                                           np.cumsum(self.counts).tolist(),
+                                           self.counts.tolist())]
         return self._masks
 
 
 def _join_keys(t: RunTable) -> tuple[np.ndarray, ...]:
-    """``starts`` and ``stops`` of the table's runs in mask order, mask m's
-    shifted by m canvas sizes so that they form one sorted list, with their
-    ``lead`` and ``before`` (``_prefix``) and the position of each mask's
-    first run among them."""
-    first = np.cumsum(t.counts) - t.counts
-    run = np.repeat(t.first - first, t.counts) + np.arange(first[-1] + t.counts[-1])
+    """``starts`` and ``stops`` of the table's runs, mask m's shifted by m
+    canvas sizes so that they form one sorted list, with their ``lead`` and
+    ``before`` (``_prefix``) and the position of each mask's first run
+    among them."""
     shift = np.repeat(np.arange(t.counts.size) * t.size, t.counts)
-    starts, stops = t.starts[run] + shift, t.stops[run] + shift
-    return starts, stops, *_prefix(starts, stops), first
+    starts, stops = t.starts + shift, t.stops + shift
+    return starts, stops, *_prefix(starts, stops), np.cumsum(t.counts) - t.counts
 
 
 def pair_intersections(t: RunTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:

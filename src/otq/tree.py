@@ -41,7 +41,8 @@ from typing import Iterable, Iterator, Mapping, TypeVar
 import numpy as np
 
 from .errors import CorpusError, OtqError, RleError, SchemaError, ValidationError
-from .masks import Mask, RunTable, _spread, boxes_meet, pair_ious, rle_decode_table
+from .masks import (Mask, RunTable, _spread, boxes_meet, pair_ious, rle_decode_table,
+                    rle_encode_table)
 
 ROOT_ID = -1
 
@@ -404,10 +405,10 @@ def serialize_tree(tree: OpenTree) -> str:
                 "id": nid,
                 "label": label,
                 "parent": None if parent == ROOT_ID else parent,
-                "rle": mask.to_rle(),
+                "rle": rle,
             }
-            for nid, label, parent, mask in zip(tree.ids, tree.labels, tree._parent_ids(),
-                                                tree.run_table.decoded_masks())
+            for nid, label, parent, rle in zip(tree.ids, tree.labels, tree._parent_ids(),
+                                               rle_encode_table(tree.run_table))
         ],
     }
     return json.dumps(payload, separators=(",", ":"))

@@ -23,12 +23,12 @@ from otq.metric import OtqReport
 
 
 def canvas_pixels(mask: Mask) -> np.ndarray:
-    """The full-canvas read-only (height, width) array of a mask: its window
-    placed at its bbox."""
-    out = np.zeros((mask.height, mask.width), dtype=bool)
-    if mask.bbox is not None:
-        r0, r1, c0, c1 = mask.bbox
-        out[r0:r1, c0:c1] = mask.window
+    """The full-canvas read-only (height, width) array of a mask, each of
+    its runs set in turn over the canvas in column-major order."""
+    flat = np.zeros(mask.height * mask.width, dtype=bool)
+    for start, stop in zip(*(r.tolist() for r in mask._runs)):
+        flat[start:stop] = True
+    out = flat.reshape(mask.width, mask.height).T
     out.setflags(write=False)
     return out
 
@@ -110,7 +110,7 @@ def _window_iou(a: Mask, b: Mask) -> float:
     drawn = []
     for m, (m0, m1, n0, n1) in ((a, a.bbox), (b, b.bbox)):
         canvas = np.zeros((max(ar1, br1) - r0, max(ac1, bc1) - c0), dtype=bool)
-        canvas[m0 - r0:m1 - r0, n0 - c0:n1 - c0] = m.window
+        canvas[m0 - r0:m1 - r0, n0 - c0:n1 - c0] = canvas_pixels(m)[m0:m1, n0:n1]
         drawn.append(canvas)
     return _pixel_iou(*drawn)
 

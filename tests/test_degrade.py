@@ -15,6 +15,7 @@ from otq import (
     synthetic_tree,
 )
 import otq.masks as mask_module
+import otq.tree as tree_module
 from otq.synth import chunky_corpus
 
 from conftest import make_tree, rect
@@ -143,22 +144,30 @@ class TestNodeMissing:
 class TestStructuralKindsShareMasks:
     def test_prediction_serializes_with_no_encoding(self, monkeypatch):
         # The benchmark's predictions: nodes dropped, then parents rewired;
-        # and the flat projection.
+        # and the flat projection.  Each serialized tree is encoded in one
+        # pass over its run table, and no mask is encoded on its own.
         tree = fixture_tree(3)
-        encode, calls = mask_module.rle_encode, []
+        calls: dict[str, int] = {}
 
-        def counted(mask):
-            calls.append(mask)
-            return encode(mask)
+        def count_calls(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(mask_module, "rle_encode", counted)
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(mask_module, "rle_encode")
+        count_calls(mask_module, "rle_encode_table")
+        count_calls(tree_module, "rle_encode_table")
         pred = tree
         for kind in ("random_node_missing", "parent_rewire"):
             pred = degrade_tree(pred, DegradeSpec(kind, 0.8, seed=4))
         ref_text = serialize_tree(tree)
-        assert len(calls) == tree.n_nodes
+        assert calls == {"rle_encode_table": 1}
         pred_text, flat_text = serialize_tree(pred), serialize_tree(project_flat(tree))
-        assert len(calls) == tree.n_nodes
+        assert calls == {"rle_encode_table": 3}
         assert 0 < pred.n_nodes < tree.n_nodes
         assert pred_text != ref_text != flat_text
 

@@ -61,7 +61,8 @@ def test_parse_of_large_windows_adds_little_to_them():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    windows = sum(node.mask.window.nbytes for node in tree.nodes.values())
+    # One byte per pixel of each mask's bbox.
+    windows = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tree.run_table.boxes.tolist())
     assert windows > 38 * 2**20
     assert peak < windows + 8 * 2**20, (
         f"parse peaked at {peak / 2**20:.1f} MiB for {windows / 2**20:.1f} MiB of windows")
@@ -86,29 +87,6 @@ def test_climb_pairs_of_a_skewed_tree_peak_near_its_pairs():
         tracemalloc.stop()
     assert pairs[0].size == 0
     assert peak < 16 * 2**20, f"climb_pairs peaked at {peak / 2**20:.1f} MiB"
-
-
-def test_lazy_windows_of_a_document_add_little_to_them():
-    # The same 60 nested rectangles: parsing builds no window, and the window
-    # asked for is the only one built.
-    width, height = 1024, 768
-    nodes = [InstanceNode(i + 1, "thing",
-                          Mask.from_rect(width, height, i, i, height - 2 * i, width - 2 * i),
-                          ROOT_ID if i == 0 else i)
-             for i in range(60)]
-    tree = parse_tree(serialize_tree(OpenTree(ImageCanvas("nested", width, height), nodes)))
-
-    tracemalloc.start()
-    try:
-        tree.nodes[30].mask.window
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    windows = sum(node.mask.window.nbytes for node in tree.nodes.values())
-    assert windows > 38 * 2**20
-    assert peak < windows + 8 * 2**20, (
-        f"building the windows peaked at {peak / 2**20:.1f} MiB for "
-        f"{windows / 2**20:.1f} MiB of windows")
 
 
 def test_dilation_on_large_canvas_peaks_near_object_size():
@@ -144,7 +122,7 @@ def test_erosion_of_large_rectangle_peaks_near_two_windows():
     finally:
         tracemalloc.stop()
     assert eroded.bbox == (100 + k, 100 + height - k, 200 + k, 200 + width - k)
-    window = mask.window.nbytes
+    window = height * width  # one byte per pixel of the mask's bbox
     assert peak < 2.25 * window, (
         f"erosion peaked at {peak / window:.2f} windows of {window / 2**20:.1f} MiB")
 

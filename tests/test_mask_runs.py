@@ -1,6 +1,6 @@
 """Masks kept as runs: the one-join intersection of many mask pairs, the
-pair-by-pair fallback, the window computed from the runs, and the pickle
-form."""
+pair-by-pair fallback, run tables in mask order, the table encoder, and
+the pickle form."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from otq import Mask, dilate, erode, intersection_area, iou, match_trees, rle_decode, size_bin
 from otq.masks import (RunTable, _join_keys, boxes_meet, pair_intersections, pair_ious,
-                       rle_decode_table)
+                       rle_decode_table, rle_encode, rle_encode_table)
 
 from conftest import make_tree
 from oracles import canvas_pixels, dense_rle_encode
@@ -162,14 +162,103 @@ class TestMasksViewTheirTable:
                 for view in views:
                     assert np.shares_memory(view._runs[0], t.starts)
                     assert np.shares_memory(view._runs[1], t.stops)
-        # The remade masks keep the strings the given ones encoded.
         assert RunTable(masks).masks == masks
-        assert [m._rle for m in RunTable(masks).masks] == rles
+        assert [m.to_rle() for m in RunTable(masks).masks] == rles
+
+
+@st.composite
+def tables(draw):
+    """A run table on a drawn canvas and the masks it holds, in order: the
+    masks decoded as one document or built into a table, then possibly
+    permuted, cut to a subset, or joined to another such table.  Masks may
+    be empty, fill full-height columns (runs that cross column boundaries)
+    or end at the canvas's last pixel."""
+    height, width = draw(canvases)
+
+    def mask():
+        kind = draw(st.sampled_from(["empty", "pixels", "tail"]))
+        if kind == "empty":
+            return Mask(np.zeros((height, width), dtype=bool))
+        if kind == "pixels":
+            return Mask(draw(nonempty_pixels(height, width)))
+        n_rows, n_cols = draw(st.integers(1, height)), draw(st.integers(1, width))
+        return Mask.from_rect(width, height, height - n_rows, width - n_cols, n_rows, n_cols)
+
+    def table():
+        masks = [mask() for _ in range(draw(st.integers(0, 6)))]
+        if draw(st.booleans()):
+            return rle_decode_table([dense_rle_encode(canvas_pixels(m)) for m in masks],
+                                    width, height), masks
+        return RunTable(masks), masks
+
+    t, masks = table()
+    change = draw(st.sampled_from(["none", "permuted", "subset", "joined"]))
+    if change == "permuted":
+        order = draw(st.permutations(range(len(masks))))
+    elif change == "subset":
+        order = sorted(draw(st.sets(st.integers(0, max(len(masks) - 1, 0)),
+                                    max_size=len(masks))))
+    if change in ("permuted", "subset"):
+        t, masks = t.reordered(order), [masks[k] for k in order]
+    elif change == "joined":
+        other, more = table()
+        t, masks = t.joined(other), masks + more
+    return t, masks
+
+
+class TestTablesInMaskOrder:
+    """Every table holds exactly its masks' runs, in mask order, and encodes
+    them as each mask alone would be encoded."""
+
+    @settings(max_examples=300)
+    @given(tables())
+    def test_masks_runs_end_to_end_are_the_tables_runs(self, drawn):
+        t, masks = drawn
+        views = t.decoded_masks()
+        assert views == masks
+        for k, column in enumerate((t.starts, t.stops)):
+            runs = np.concatenate([m._runs[k] for m in views] or [np.zeros(0, np.int64)])
+            assert runs.dtype == column.dtype == np.int64
+            assert np.array_equal(runs, column)
+
+    @settings(max_examples=300)
+    @given(tables())
+    def test_one_pass_encoding_is_each_masks_encoding(self, drawn):
+        t, masks = drawn
+        expected = [dense_rle_encode(canvas_pixels(m)) for m in masks]
+        assert rle_encode_table(t) == [rle_encode(m) for m in t.decoded_masks()] == expected
+
+    def test_tables_of_no_masks_encode_to_no_strings(self):
+        # A %-format of no tokens, split on newlines, would give [""].
+        full = RunTable([Mask.full(3, 2)])
+        for t in (RunTable([]), rle_decode_table([], 3, 2), full.reordered([]),
+                  RunTable([]).joined(RunTable([]))):
+            assert rle_encode_table(t) == []
+
+    def test_tables_of_many_runs_are_encoded_in_groups(self):
+        # Striped masks of 1,800 runs each and empty masks: the table's
+        # runs span three groups of 4096, and the last mask ends at the
+        # canvas end.
+        stripes = np.zeros((60, 60), dtype=bool)
+        stripes[::2] = True
+        empty = np.zeros_like(stripes)
+        pixels = [stripes, empty, ~stripes, stripes, ~stripes, empty, stripes, ~stripes]
+        table = RunTable([Mask(p) for p in pixels])
+        assert table.starts.size > 2 * 4096
+        expected = [dense_rle_encode(p) for p in pixels]
+        assert rle_encode_table(table) == expected
+        assert rle_encode_table(table.reordered(range(7, -1, -1))) == expected[::-1]
+
+    def test_a_mask_that_ends_at_the_canvas_end(self):
+        # No pixel follows the last run, so no closing 0 is written.
+        masks = [Mask.from_rect(3, 2, 1, 2, 1, 1), Mask.full(3, 2),
+                 Mask(np.zeros((2, 3), dtype=bool)), Mask.from_rect(3, 2, 0, 1, 2, 2)]
+        assert rle_encode_table(RunTable(masks)) == ["5 1", "0 6", "6", "2 4"]
 
 
 class TestLazyWindows:
-    """Every mask holds runs alone; the window a decoded mask computes from
-    them is the window of the same pixels made into a mask."""
+    """Every mask holds runs alone; a decoded mask holds the same pixels as
+    a mask made from them."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -183,13 +272,10 @@ class TestLazyWindows:
         for document in (rles, ["+" + rles[0], *rles[1:]]):
             for mask, p in zip(rle_decode_table(document, width, height).decoded_masks(),
                                pixels):
-                copy = pickle.loads(pickle.dumps(mask))  # before any window
+                copy = pickle.loads(pickle.dumps(mask))
                 eager = Mask(p)
-                window = mask.window
-                assert window.dtype == eager.window.dtype == bool
-                assert window.shape == eager.window.shape
-                assert window.tobytes() == eager.window.tobytes()
-                assert window.flags.c_contiguous and not window.flags.writeable
+                assert np.array_equal(canvas_pixels(mask), canvas_pixels(eager))
+                assert np.array_equal(canvas_pixels(mask), p)
                 rebuilt = Mask(canvas_pixels(mask))
                 assert mask.to_rle() == rebuilt.to_rle() == copy.to_rle() == dense_rle_encode(p)
                 assert mask == rebuilt == copy and rebuilt == mask
@@ -198,15 +284,7 @@ class TestLazyWindows:
                 for m in (mask, rebuilt, copy):
                     back = pickle.loads(pickle.dumps(m))
                     assert back == mask and back.area == mask.area
-                    assert back.window.tobytes() == window.tobytes()
-                    assert back.window.flags.c_contiguous and not back.window.flags.writeable
-
-    def test_the_window_is_computed_on_each_read(self):
-        assert not any("window" in name for name in Mask.__slots__)
-        mask = rle_decode("4 2 6", 4, 3)
-        first = mask.window
-        assert mask.window is not first
-        assert mask.window.tobytes() == first.tobytes() == b"\x01\x01"
+                    assert np.array_equal(canvas_pixels(back), p)
 
 
 class TestPickledAsRuns:

@@ -201,6 +201,20 @@ class TestSerialize:
         tree = synthetic_tree("img-x", rng)
         assert parse_tree(serialize_tree(tree)) == tree
 
+    def test_roundtrip_of_ids_given_out_of_order(self):
+        # The masks' run table is gathered into id order, and each node is
+        # written with its own mask.
+        masks = {7: rect(16, 16, 0, 0, 16, 3), 2: rect(16, 16, 4, 5, 3, 6),
+                 5: rect(16, 16, 1, 1, 2, 2), 3: rect(16, 16, 10, 12, 6, 4)}
+        tree = make_tree([(7, "a", None, masks[7]), (2, "b", 7, masks[2]),
+                          (5, "c", 2, masks[5]), (3, "d", None, masks[3])])
+        assert tree.ids == [2, 3, 5, 7]
+        again = parse_tree(serialize_tree(tree))
+        assert again == tree
+        assert {nid: node.mask for nid, node in again.nodes.items()} == masks
+        assert [node["rle"] for node in json.loads(serialize_tree(tree))["nodes"]] == [
+            masks[nid].to_rle() for nid in (2, 3, 5, 7)]
+
     def test_root_only_tree(self):
         tree = OpenTree(ImageCanvas("empty", 4, 4), [])
         again = parse_tree(serialize_tree(tree))
